@@ -313,6 +313,9 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   BeginTxn();
   int32_t assertion_id = static_cast<int32_t>(user_assertions_.size());
   user_assertions_.push_back(assertion);
+  bool disjoint_integrable =
+      assertion.type == AssertionType::kDisjointIntegrable;
+  if (disjoint_integrable) disjoint_integrable_.push_back({i, j});
 
   int a = std::min(i, j);
   int b = std::max(i, j);
@@ -339,6 +342,7 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
     ++stats_.conflicts;
     Rollback();
     user_assertions_.pop_back();
+    if (disjoint_integrable) disjoint_integrable_.pop_back();
     ConflictReport report = ReportFor(ci, cj);  // post-rollback == before
     report.attempted = assertion;
     last_conflict_ = std::move(report);
@@ -407,12 +411,17 @@ Result<ConflictReport> AssertionStore::Constrain(const ObjectRef& first,
   return ok;
 }
 
+int AssertionStore::IdOf(const ObjectRef& ref) const {
+  auto it = index_.find(ref);
+  return it == index_.end() ? -1 : it->second;
+}
+
 RelationSet AssertionStore::PossibleRelations(const ObjectRef& first,
                                               const ObjectRef& second) const {
-  auto it = index_.find(first);
-  auto jt = index_.find(second);
-  if (it == index_.end() || jt == index_.end()) return kAnyRelation;
-  return rel_[Cell(it->second, jt->second)];
+  int a = IdOf(first);
+  int b = IdOf(second);
+  if (a < 0 || b < 0) return kAnyRelation;
+  return RelationAt(a, b);
 }
 
 Result<SetRelation> AssertionStore::EstablishedRelation(
@@ -428,19 +437,21 @@ Result<SetRelation> AssertionStore::EstablishedRelation(
 
 bool AssertionStore::IsIntegrating(const ObjectRef& first,
                                    const ObjectRef& second) const {
-  auto it = index_.find(first);
-  auto jt = index_.find(second);
-  if (it == index_.end() || jt == index_.end()) return false;
-  int32_t direct = direct_[NormCell(it->second, jt->second)];
-  if (direct >= 0) {
-    return core::IsIntegrating(user_assertions_[direct].type);
-  }
-  // Derived-only: integrate when pinned to a non-disjoint relation. A
-  // derived disjointness never connects a cluster (nobody asked for a
-  // generalization over the pair).
-  RelationSet possible = rel_[Cell(it->second, jt->second)];
-  return RelationCount(possible) == 1 &&
-         TheRelation(possible) != SetRelation::kDisjoint;
+  int a = IdOf(first);
+  int b = IdOf(second);
+  return a >= 0 && b >= 0 && IsIntegratingAt(a, b);
+}
+
+bool AssertionStore::IsIntegratingAt(int a, int b) const {
+  // A direct assertion pins its pair to the assertion's relation, so a pair
+  // pinned to a relation other than disjointness integrates whether its pin
+  // was asserted or derived. A disjoint pair integrates only when the DDA's
+  // latest assertion on it integrates (disjoint-integrable): a derived
+  // disjointness never connects a cluster (nobody asked for a
+  // generalization over it).
+  if (PinnedNonDisjoint(rel_[Cell(a, b)])) return true;
+  int32_t direct = direct_[NormCell(a, b)];
+  return direct >= 0 && core::IsIntegrating(user_assertions_[direct].type);
 }
 
 std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
@@ -469,10 +480,10 @@ std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
 std::vector<Assertion> AssertionStore::SupportingAssertions(
     const ObjectRef& first, const ObjectRef& second) const {
   std::vector<Assertion> out;
-  auto it = index_.find(first);
-  auto jt = index_.find(second);
-  if (it == index_.end() || jt == index_.end()) return out;
-  AppendSupport(it->second, jt->second, out);
+  int a = IdOf(first);
+  int b = IdOf(second);
+  if (a < 0 || b < 0) return out;
+  AppendSupport(a, b, out);
   return out;
 }
 
@@ -684,6 +695,11 @@ Result<ConflictReport> AssertionStore::AssertBatch(
     stats_.narrowings += scratch.stats_.narrowings;
   }
   user_assertions_.insert(user_assertions_.end(), batch.begin(), batch.end());
+  for (const Assertion& a : batch) {
+    if (a.type == AssertionType::kDisjointIntegrable) {
+      disjoint_integrable_.push_back({index_.at(a.first), index_.at(a.second)});
+    }
+  }
   last_conflict_.reset();
   stats_.kernel_ns += NowNs() - t0;
 

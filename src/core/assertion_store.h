@@ -1,10 +1,12 @@
 #ifndef ECRINT_CORE_ASSERTION_STORE_H_
 #define ECRINT_CORE_ASSERTION_STORE_H_
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -98,6 +100,32 @@ class AssertionStore {
   int num_objects() const { return static_cast<int>(objects_.size()); }
   const std::vector<ObjectRef>& objects() const { return objects_; }
 
+  // Dense ids: a registered structure's index in objects(), or -1. Bulk
+  // consumers (phase 4's lattice and cluster passes) resolve each structure
+  // once and then read pairs by id instead of hashing two names per pair.
+  int IdOf(const ObjectRef& ref) const;
+  RelationSet RelationAt(int a, int b) const { return rel_[Cell(a, b)]; }
+  bool IsIntegratingAt(int a, int b) const;
+
+  // Calls fn(b) for every b > a whose pair with `a` is constrained (not
+  // kAnyRelation), in ascending order, by scanning row a's bitmap. An
+  // unconstrained pair can neither merge, order nor cluster two structures,
+  // so these are the only pairs phase 4 has to visit.
+  template <typename Fn>
+  void ForEachConstrainedAbove(int a, Fn&& fn) const {
+    const uint64_t* bits = &constrained_[static_cast<size_t>(a) * words_];
+    int first = a + 1;
+    for (int w = first >> 6; w < words_; ++w) {
+      uint64_t word = bits[w];
+      if (w == first >> 6) word &= ~uint64_t{0} << (first & 63);
+      while (word != 0) {
+        int b = (w << 6) + std::countr_zero(word);
+        word &= word - 1;
+        fn(b);
+      }
+    }
+  }
+
   // Records `first <type> second`. On contradiction returns kConflict and a
   // report; the store is unchanged. Re-asserting a compatible fact is OK.
   // Asserting over a pair within one schema is allowed (the algebra does not
@@ -147,6 +175,14 @@ class AssertionStore {
   // All user assertions, in entry order.
   const std::vector<Assertion>& user_assertions() const {
     return user_assertions_;
+  }
+
+  // Dense id pairs of the disjoint-integrable user assertions, in entry
+  // order: the pairs that ask phase 4 for a derived generalization, and
+  // the only disjoint pairs that can be integrating. Kept beside the log so
+  // bulk readers need not walk every assertion.
+  const std::vector<std::pair<int, int>>& disjoint_integrable_pairs() const {
+    return disjoint_integrable_;
   }
 
   // Pairs pinned to a single relation by derivation only (Screen 9's
@@ -269,6 +305,7 @@ class AssertionStore {
   std::vector<DerivRecord> deriv_pool_;
 
   std::vector<Assertion> user_assertions_;
+  std::vector<std::pair<int, int>> disjoint_integrable_;
 
   // Worklist of narrowed (normalized) cells, drained FIFO; queued_ prevents
   // duplicate entries.

@@ -1,7 +1,6 @@
 #include "core/cluster.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 namespace ecrint::core {
@@ -19,26 +18,56 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
     return x;
   };
 
+  // First universe position of each store id. A structure listed twice is
+  // integrating with itself, so its positions join at once.
+  std::vector<int> first_at(store.num_objects(), -1);
+  std::vector<int> ids(n);
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      if (store.IsIntegrating(universe[i], universe[j])) {
+    ids[i] = store.IdOf(universe[i]);
+    if (ids[i] < 0) continue;
+    if (first_at[ids[i]] < 0) {
+      first_at[ids[i]] = i;
+    } else {
+      parent[find(i)] = find(first_at[ids[i]]);
+    }
+  }
+  // Integrating pairs: those pinned to one relation other than
+  // disjointness, read from the relation alone, plus disjoint pairs whose
+  // latest assertion is disjoint-integrable, all of which are listed.
+  for (int i = 0; i < n; ++i) {
+    int a = ids[i];
+    if (a < 0 || first_at[a] != i) continue;
+    store.ForEachConstrainedAbove(a, [&](int b) {
+      int j = first_at[b];
+      if (j >= 0 && PinnedNonDisjoint(store.RelationAt(a, b))) {
         parent[find(i)] = find(j);
       }
+    });
+  }
+  for (auto [a, b] : store.disjoint_integrable_pairs()) {
+    int i = first_at[a];
+    int j = first_at[b];
+    if (i >= 0 && j >= 0 && store.IsIntegratingAt(a, b)) {
+      parent[find(i)] = find(j);
     }
   }
 
-  std::map<int, Cluster> by_root;
-  for (int i = 0; i < n; ++i) by_root[find(i)].members.push_back(universe[i]);
+  // Walking the positions in name order sorts every cluster's members and
+  // orders the clusters by their first member in one pass.
+  std::vector<int> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](int a, int b) { return universe[a] < universe[b]; });
+  std::vector<int> cluster_of_root(n, -1);
   std::vector<Cluster> clusters;
-  clusters.reserve(by_root.size());
-  for (auto& [root, cluster] : by_root) {
-    std::sort(cluster.members.begin(), cluster.members.end());
-    clusters.push_back(std::move(cluster));
+  for (int i : order) {
+    int& c = cluster_of_root[find(i)];
+    if (c < 0) {
+      c = static_cast<int>(clusters.size());
+      clusters.emplace_back();
+    }
+    clusters[c].members.push_back(universe[i]);
   }
-  std::sort(clusters.begin(), clusters.end(),
-            [](const Cluster& a, const Cluster& b) {
-              return a.members.front() < b.members.front();
-            });
   return clusters;
 }
 

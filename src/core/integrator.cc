@@ -1,9 +1,9 @@
 #include "core/integrator.h"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <numeric>
-#include <set>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -14,6 +14,74 @@ namespace ecrint::core {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Universes. Every pass below works on positions into these lists and on
+// the assertion store's dense ids; names are read back only at assembly.
+// ---------------------------------------------------------------------------
+
+// The component structures of one kind, in schema order then declaration
+// order.
+struct Universe {
+  StructureKind kind = StructureKind::kObjectClass;
+  std::vector<const ecr::Schema*> schemas;  // as listed, repeats included
+  std::vector<int> offset;                  // first position per listing
+  std::vector<ObjectRef> refs;
+  std::vector<const std::vector<ecr::Attribute>*> attributes;
+  std::vector<int> listing;  // index into `schemas`
+  std::vector<int> ids;      // store id, -1 when the store never saw it
+  // The position a lookup by name resolves to: the same structure in the
+  // last listing of its schema (itself unless a schema is listed twice).
+  std::vector<int> canonical;
+
+  int size() const { return static_cast<int>(refs.size()); }
+
+  // Canonical position of the named structure, or -1.
+  int PositionOf(const std::string& schema, const std::string& name) const {
+    for (int k = static_cast<int>(schemas.size()) - 1; k >= 0; --k) {
+      if (schemas[k]->name() != schema) continue;
+      int index = kind == StructureKind::kObjectClass
+                      ? schemas[k]->FindObject(name)
+                      : schemas[k]->FindRelationship(name);
+      return index < 0 ? -1 : offset[k] + index;
+    }
+    return -1;
+  }
+};
+
+Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
+                      StructureKind kind, const AssertionStore& store) {
+  Universe u;
+  u.kind = kind;
+  u.schemas = schemas;
+  int listings = static_cast<int>(schemas.size());
+  for (int k = 0; k < listings; ++k) {
+    const ecr::Schema& schema = *schemas[k];
+    u.offset.push_back(u.size());
+    bool objects = kind == StructureKind::kObjectClass;
+    int count = objects ? schema.num_objects() : schema.num_relationships();
+    for (int i = 0; i < count; ++i) {
+      const std::string& name =
+          objects ? schema.object(i).name : schema.relationship(i).name;
+      u.refs.push_back({schema.name(), name});
+      u.attributes.push_back(objects ? &schema.object(i).attributes
+                                     : &schema.relationship(i).attributes);
+      u.listing.push_back(k);
+    }
+  }
+  u.canonical.resize(u.refs.size());
+  u.ids.resize(u.refs.size());
+  for (int p = 0; p < u.size(); ++p) {
+    int k = u.listing[p];
+    int last = k;
+    for (int later = k + 1; later < listings; ++later) {
+      if (schemas[later]->name() == schemas[k]->name()) last = later;
+    }
+    u.canonical[p] = u.offset[last] + (p - u.offset[k]);
+    u.ids[p] = store.IdOf(u.refs[p]);
+  }
+  return u;
+}
+
+// ---------------------------------------------------------------------------
 // Lattice construction shared by object-class and relationship integration.
 // ---------------------------------------------------------------------------
 
@@ -21,63 +89,87 @@ namespace {
 // structures, or a D_-derived generalization introduced for an overlap /
 // disjoint-integrable pair.
 struct Node {
-  std::vector<ObjectRef> sources;  // empty for derived nodes
+  std::vector<int> sources;  // universe positions; empty for derived nodes
   std::string name;
   ecr::ObjectOrigin origin = ecr::ObjectOrigin::kComponent;
-  std::set<int> parents;  // full (pre-reduction) edge set, child -> parent
+  std::vector<int> parents;  // full (pre-reduction) edge set, ascending
   std::vector<ecr::Attribute> attributes;  // filled by placement
 };
 
+// Topological order, parents before children, stable by node index.
+std::vector<int> TopoOrder(const std::vector<Node>& nodes) {
+  int n = static_cast<int>(nodes.size());
+  std::vector<int> out;
+  out.reserve(n);
+  std::vector<char> done(n, 0);
+  auto visit = [&](auto&& self, int node) -> void {
+    if (done[node]) return;
+    done[node] = 1;
+    for (int parent : nodes[node].parents) self(self, parent);
+    out.push_back(node);
+  };
+  for (int i = 0; i < n; ++i) visit(visit, i);
+  return out;
+}
+
 struct Lattice {
   std::vector<Node> nodes;
-  std::map<ObjectRef, int> node_of;
+  std::vector<int> node_of;  // universe position -> node
 
-  // Ancestors-or-self of `node` over the full parent edge set.
-  std::set<int> AncestorsOrSelf(int node) const {
-    std::set<int> out;
-    std::vector<int> stack = {node};
-    while (!stack.empty()) {
-      int id = stack.back();
-      stack.pop_back();
-      if (!out.insert(id).second) continue;
-      for (int parent : nodes[id].parents) stack.push_back(parent);
-    }
-    return out;
+  // Filled by Close(), once per finished edge set: each node's depth (the
+  // longest path to a root; deeper nodes are more specific) and its
+  // ancestors-or-self as a row of `words` bitset words.
+  std::vector<int> depth;
+  std::vector<uint64_t> ancestors;
+  int words = 0;
+
+  const uint64_t* AncestorRow(int node) const {
+    return &ancestors[static_cast<size_t>(node) * words];
   }
 
-  // Depth = longest path to a root; deeper nodes are more specific.
-  int Depth(int node) const {
-    int best = 0;
-    for (int parent : nodes[node].parents) {
-      best = std::max(best, Depth(parent) + 1);
+  // Requires an acyclic edge set.
+  void Close() {
+    int n = static_cast<int>(nodes.size());
+    words = (n + 63) / 64;
+    depth.assign(n, 0);
+    ancestors.assign(static_cast<size_t>(n) * words, 0);
+    for (int node : TopoOrder(nodes)) {
+      uint64_t* row = &ancestors[static_cast<size_t>(node) * words];
+      row[node >> 6] |= uint64_t{1} << (node & 63);
+      for (int parent : nodes[node].parents) {
+        depth[node] = std::max(depth[node], depth[parent] + 1);
+        const uint64_t* parent_row = AncestorRow(parent);
+        for (int w = 0; w < words; ++w) row[w] |= parent_row[w];
+      }
     }
-    return best;
+  }
+
+  // True if `ancestor` is reachable from `node` (or equal).
+  bool IsAncestorOrSelf(int node, int ancestor) const {
+    return (AncestorRow(node)[ancestor >> 6] >> (ancestor & 63)) & 1;
   }
 
   // The most specific node that is an ancestor-or-self of every node in
-  // `owners`, or -1 when none exists.
-  int Placement(const std::set<int>& owners) const {
-    if (owners.empty()) return -1;
-    auto it = owners.begin();
-    std::set<int> common = AncestorsOrSelf(*it);
-    for (++it; it != owners.end(); ++it) {
-      std::set<int> next = AncestorsOrSelf(*it);
-      std::set<int> kept;
-      std::set_intersection(common.begin(), common.end(), next.begin(),
-                            next.end(), std::inserter(kept, kept.begin()));
-      common = std::move(kept);
-      if (common.empty()) return -1;
+  // `owners` (non-empty), or -1 when none exists. Owners are ancestors of
+  // each other only when one generalizes all; the deepest common ancestor
+  // is the most specific placement. Ties break to the lowest node index for
+  // determinism.
+  int Placement(const std::vector<int>& owners) const {
+    std::vector<uint64_t> common(AncestorRow(owners[0]),
+                                 AncestorRow(owners[0]) + words);
+    for (size_t i = 1; i < owners.size(); ++i) {
+      const uint64_t* row = AncestorRow(owners[i]);
+      for (int w = 0; w < words; ++w) common[w] &= row[w];
     }
-    // Owners are ancestors of each other only when one generalizes all; the
-    // deepest common ancestor is the most specific placement. Ties break to
-    // the lowest node index for determinism.
     int best = -1;
     int best_depth = -1;
-    for (int candidate : common) {
-      int depth = Depth(candidate);
-      if (depth > best_depth) {
-        best = candidate;
-        best_depth = depth;
+    for (int w = 0; w < words; ++w) {
+      for (uint64_t bits = common[w]; bits != 0; bits &= bits - 1) {
+        int candidate = (w << 6) + std::countr_zero(bits);
+        if (depth[candidate] > best_depth) {
+          best = candidate;
+          best_depth = depth[candidate];
+        }
       }
     }
     return best;
@@ -85,11 +177,6 @@ struct Lattice {
 
   // Most specific common ancestor-or-self of two nodes, or -1.
   int CommonAncestor(int a, int b) const { return Placement({a, b}); }
-
-  // True if `ancestor` is reachable from `node` (or equal).
-  bool IsAncestorOrSelf(int node, int ancestor) const {
-    return AncestorsOrSelf(node).count(ancestor) > 0;
-  }
 };
 
 std::string Fragment(const std::string& name, int length) {
@@ -101,7 +188,7 @@ std::string Fragment(const std::string& name, int length) {
 
 // Reserves a name, appending _2, _3, ... on collision.
 std::string UniqueName(const std::string& candidate,
-                       std::set<std::string>& used) {
+                       std::unordered_set<std::string>& used) {
   std::string name = candidate;
   int suffix = 2;
   while (!used.insert(name).second) {
@@ -111,14 +198,13 @@ std::string UniqueName(const std::string& candidate,
 }
 
 // Builds the EQ-merged node set, subset edges and derived generalizations
-// for one structure kind. `universe` lists the component structures in
-// deterministic order.
-Result<Lattice> BuildLattice(const std::vector<ObjectRef>& universe,
+// for one structure kind.
+Result<Lattice> BuildLattice(const Universe& universe,
                              const AssertionStore& store,
                              const IntegrationOptions& options,
-                             std::set<std::string>& used_names) {
+                             std::unordered_set<std::string>& used_names) {
   Lattice lattice;
-  int n = static_cast<int>(universe.size());
+  int n = universe.size();
 
   // Union-find over "equals" pairs.
   std::vector<int> parent(n);
@@ -130,120 +216,130 @@ Result<Lattice> BuildLattice(const std::vector<ObjectRef>& universe,
     }
     return x;
   };
-  auto relation = [&](int i, int j) -> RelationSet {
-    return store.PossibleRelations(universe[i], universe[j]);
+  auto unite = [&](int x, int y) {
+    x = find(x);
+    y = find(y);
+    parent[std::max(x, y)] = std::min(x, y);
   };
+
+  // First position of each store id. A structure listed twice is equal to
+  // itself, so its later positions join the first.
+  std::vector<int> first_at(store.num_objects(), -1);
   for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      RelationSet r = relation(i, j);
-      if (RelationCount(r) == 1 && TheRelation(r) == SetRelation::kEqual) {
-        parent[std::max(find(i), find(j))] = std::min(find(i), find(j));
-      }
+    int id = universe.ids[i];
+    if (id < 0) continue;
+    if (first_at[id] < 0) {
+      first_at[id] = i;
+    } else {
+      unite(i, first_at[id]);
     }
+  }
+
+  // One pass over the store's constrained pairs among the universe collects
+  // the equals, subset and overlap pairs; ambiguous and disjoint pairs add
+  // nothing to the lattice.
+  std::vector<std::pair<int, int>> subsets;  // (child, parent) positions
+  std::vector<std::pair<int, int>> overlaps;
+  for (int i = 0; i < n; ++i) {
+    int a = universe.ids[i];
+    if (a < 0 || first_at[a] != i) continue;
+    store.ForEachConstrainedAbove(a, [&](int b) {
+      int j = first_at[b];
+      if (j < 0) return;
+      switch (store.RelationAt(a, b)) {
+        case MaskOf(SetRelation::kEqual):
+          unite(i, j);
+          break;
+        case MaskOf(SetRelation::kSubset):
+          subsets.push_back({i, j});
+          break;
+        case MaskOf(SetRelation::kSuperset):
+          subsets.push_back({j, i});
+          break;
+        case MaskOf(SetRelation::kOverlap):
+          overlaps.push_back({i, j});
+          break;
+        default:
+          break;
+      }
+    });
   }
 
   // Nodes in order of first member occurrence.
-  std::map<int, int> root_to_node;
+  lattice.node_of.resize(n);
+  std::vector<int> node_of_root(n, -1);
   for (int i = 0; i < n; ++i) {
-    int root = find(i);
-    auto [it, inserted] =
-        root_to_node.emplace(root, static_cast<int>(lattice.nodes.size()));
-    if (inserted) lattice.nodes.emplace_back();
-    lattice.nodes[it->second].sources.push_back(universe[i]);
-    lattice.node_of[universe[i]] = it->second;
+    int& node = node_of_root[find(i)];
+    if (node < 0) {
+      node = static_cast<int>(lattice.nodes.size());
+      lattice.nodes.emplace_back();
+    }
+    lattice.nodes[node].sources.push_back(i);
+    lattice.node_of[i] = node;
   }
 
   // Subset edges between distinct nodes.
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      RelationSet r = relation(i, j);
-      if (RelationCount(r) == 1 && TheRelation(r) == SetRelation::kSubset) {
-        int child = lattice.node_of[universe[i]];
-        int parent_node = lattice.node_of[universe[j]];
-        if (child != parent_node) {
-          lattice.nodes[child].parents.insert(parent_node);
-        }
-      }
-    }
+  for (auto [child, parent_position] : subsets) {
+    int from = lattice.node_of[child];
+    int to = lattice.node_of[parent_position];
+    if (from != to) lattice.nodes[from].parents.push_back(to);
+  }
+  for (Node& node : lattice.nodes) {
+    std::sort(node.parents.begin(), node.parents.end());
+    node.parents.erase(std::unique(node.parents.begin(), node.parents.end()),
+                       node.parents.end());
   }
 
   // Derived generalizations: one per node pair connected by an established
-  // overlap or a user-asserted disjoint-integrable assertion. Pre-index the
-  // disjoint-integrable assertions so the pair loop does a set probe instead
-  // of scanning every user assertion per pair (O(n²·|assertions|) before).
-  std::set<std::pair<ObjectRef, ObjectRef>> disjoint_integrable_pairs;
-  for (const Assertion& a : store.user_assertions()) {
-    if (a.type != AssertionType::kDisjointIntegrable) continue;
-    disjoint_integrable_pairs.insert({a.first, a.second});
-    disjoint_integrable_pairs.insert({a.second, a.first});
-  }
-  std::set<std::pair<int, int>> derived_pairs;
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      RelationSet r = relation(i, j);
-      bool overlap = RelationCount(r) == 1 &&
-                     TheRelation(r) == SetRelation::kOverlap;
-      bool disjoint_integrable =
-          !overlap && disjoint_integrable_pairs.count(
-                          {universe[i], universe[j]}) > 0;
-      if (!overlap && !disjoint_integrable) continue;
-      int a = lattice.node_of[universe[i]];
-      int b = lattice.node_of[universe[j]];
-      if (a == b) continue;
-      derived_pairs.insert({std::min(a, b), std::max(a, b)});
+  // overlap or a user-asserted disjoint-integrable assertion, in (min, max)
+  // node order.
+  std::vector<std::pair<int, int>> derived_pairs;
+  auto add_derived = [&](int i, int j) {
+    int a = lattice.node_of[i];
+    int b = lattice.node_of[j];
+    if (a != b) derived_pairs.push_back({std::min(a, b), std::max(a, b)});
+  };
+  for (auto [i, j] : overlaps) add_derived(i, j);
+  for (auto [a, b] : store.disjoint_integrable_pairs()) {
+    if (first_at[a] >= 0 && first_at[b] >= 0) {
+      add_derived(first_at[a], first_at[b]);
     }
   }
+  std::sort(derived_pairs.begin(), derived_pairs.end());
+  derived_pairs.erase(std::unique(derived_pairs.begin(), derived_pairs.end()),
+                      derived_pairs.end());
 
   // Name base nodes before derived ones (derived names reference them).
   for (Node& node : lattice.nodes) {
-    bool all_same = true;
-    for (const ObjectRef& ref : node.sources) {
-      all_same &= ref.object == node.sources.front().object;
-    }
+    const ObjectRef& front = universe.refs[node.sources.front()];
     if (node.sources.size() == 1) {
       node.origin = ecr::ObjectOrigin::kComponent;
-      const ObjectRef& ref = node.sources.front();
-      if (!used_names.count(ref.object)) {
-        node.name = ref.object;
-        used_names.insert(node.name);
-      } else {
-        node.name = UniqueName(ref.schema + "_" + ref.object, used_names);
-      }
-    } else {
-      node.origin = ecr::ObjectOrigin::kEquivalent;
-      std::string candidate;
-      if (all_same) {
-        candidate = "E_" + node.sources.front().object;
-      } else {
-        candidate = "E";
-        for (const ObjectRef& ref : node.sources) {
-          candidate += "_" + Fragment(ref.object, options.name_prefix_length);
-        }
-      }
-      node.name = UniqueName(candidate, used_names);
-    }
-  }
-
-  for (const auto& [a, b] : derived_pairs) {
-    // Skip when one side already generalizes the other through other edges
-    // (e.g. overlap later subsumed by an equals chain elsewhere).
-    if (lattice.IsAncestorOrSelf(a, b) || lattice.IsAncestorOrSelf(b, a)) {
+      node.name = used_names.insert(front.object).second
+                      ? front.object
+                      : UniqueName(front.schema + "_" + front.object,
+                                   used_names);
       continue;
     }
-    Node derived;
-    derived.origin = ecr::ObjectOrigin::kDerived;
-    derived.name = UniqueName(
-        "D_" + Fragment(lattice.nodes[a].name, options.name_prefix_length) +
-            "_" + Fragment(lattice.nodes[b].name, options.name_prefix_length),
-        used_names);
-    int id = static_cast<int>(lattice.nodes.size());
-    lattice.nodes.push_back(std::move(derived));
-    lattice.nodes[a].parents.insert(id);
-    lattice.nodes[b].parents.insert(id);
+    node.origin = ecr::ObjectOrigin::kEquivalent;
+    bool all_same = true;
+    for (int source : node.sources) {
+      all_same &= universe.refs[source].object == front.object;
+    }
+    std::string candidate;
+    if (all_same) {
+      candidate = "E_" + front.object;
+    } else {
+      candidate = "E";
+      for (int source : node.sources) {
+        candidate += "_" + Fragment(universe.refs[source].object,
+                                    options.name_prefix_length);
+      }
+    }
+    node.name = UniqueName(candidate, used_names);
   }
 
   // The closure guarantees consistency, so the edge set must be acyclic.
+  // (Derived nodes added below have no parents and cannot close a cycle.)
   std::vector<int> color(lattice.nodes.size(), 0);
   auto dfs = [&](auto&& self, int node) -> bool {
     color[node] = 1;
@@ -260,38 +356,43 @@ Result<Lattice> BuildLattice(const std::vector<ObjectRef>& universe,
                            "assertions and schema structure disagree");
     }
   }
-  return lattice;
-}
 
-// Topological order, parents before children, stable by node index.
-std::vector<int> TopoOrder(const Lattice& lattice) {
-  int n = static_cast<int>(lattice.nodes.size());
-  std::vector<int> out;
-  out.reserve(n);
-  std::vector<char> done(n, 0);
-  auto visit = [&](auto&& self, int node) -> void {
-    if (done[node]) return;
-    done[node] = 1;
-    for (int parent : lattice.nodes[node].parents) self(self, parent);
-    out.push_back(node);
-  };
-  for (int i = 0; i < n; ++i) visit(visit, i);
-  return out;
+  // Skip a pair when one side already generalizes the other through other
+  // edges (e.g. overlap later subsumed by an equals chain elsewhere). A
+  // derived node has no parents, so adding one never changes which base
+  // nodes reach each other: the base lattice's closure answers every check.
+  lattice.Close();
+  for (const auto& [a, b] : derived_pairs) {
+    if (lattice.IsAncestorOrSelf(a, b) || lattice.IsAncestorOrSelf(b, a)) {
+      continue;
+    }
+    Node derived;
+    derived.origin = ecr::ObjectOrigin::kDerived;
+    derived.name = UniqueName(
+        "D_" + Fragment(lattice.nodes[a].name, options.name_prefix_length) +
+            "_" + Fragment(lattice.nodes[b].name, options.name_prefix_length),
+        used_names);
+    int id = static_cast<int>(lattice.nodes.size());
+    lattice.nodes.push_back(std::move(derived));
+    // Parent lists stay ascending: `id` exceeds every node before it.
+    lattice.nodes[a].parents.push_back(id);
+    lattice.nodes[b].parents.push_back(id);
+  }
+  lattice.Close();
+  return lattice;
 }
 
 // Direct parents after transitive reduction.
 std::vector<int> DirectParents(const Lattice& lattice, int node,
                                bool reduce) {
-  std::vector<int> parents(lattice.nodes[node].parents.begin(),
-                           lattice.nodes[node].parents.end());
+  const std::vector<int>& parents = lattice.nodes[node].parents;
   if (!reduce) return parents;
   std::vector<int> out;
   for (int p : parents) {
     bool implied = false;
     for (int q : parents) {
-      if (q == p) continue;
       // p implied when reachable from another parent q.
-      if (lattice.IsAncestorOrSelf(q, p)) {
+      if (q != p && lattice.IsAncestorOrSelf(q, p)) {
         implied = true;
         break;
       }
@@ -336,22 +437,70 @@ ecr::Domain MergeDomains(const ecr::Domain& a, const ecr::Domain& b) {
   return merged;
 }
 
-// Everything the placement pass needs to know about one component attribute.
+// One component attribute and where placement put it.
 struct SourceAttribute {
-  ecr::AttributePath path;
-  ecr::Attribute attribute;
-  int node = -1;
+  int position = -1;  // universe position of the declaring structure
+  const ecr::Attribute* attribute = nullptr;
+  int node = -1;      // lattice node of the structure's canonical position
+  int target_node = -1;
+  std::string target_name;
+  bool consumed = false;  // merged into a derived attribute
 };
+
+// The component attributes of one universe, laid out by position.
+struct AttributeTable {
+  std::vector<SourceAttribute> entries;
+  std::vector<int> begin;  // first entry of each position
+  // Per canonical entry: the entry whose placement the mappings report.
+  // Placement writes each attribute path's target once per entry — derived
+  // attributes first, then copies in entry order — and the last write
+  // wins; only a schema listed twice gives a path two entries.
+  std::vector<int> survivor;
+
+  int Canonical(const Universe& universe, int entry) const {
+    int p = entries[entry].position;
+    return begin[universe.canonical[p]] + (entry - begin[p]);
+  }
+};
+
+AttributeTable MakeAttributeTable(const Universe& universe,
+                                  const Lattice& lattice) {
+  AttributeTable table;
+  for (int p = 0; p < universe.size(); ++p) {
+    table.begin.push_back(static_cast<int>(table.entries.size()));
+    for (const ecr::Attribute& a : *universe.attributes[p]) {
+      table.entries.push_back(
+          {p, &a, lattice.node_of[universe.canonical[p]], -1, {}, false});
+    }
+  }
+  table.survivor.resize(table.entries.size());
+  std::iota(table.survivor.begin(), table.survivor.end(), 0);
+  return table;
+}
+
+ecr::AttributePath PathOf(const Universe& universe,
+                          const SourceAttribute& a) {
+  const ObjectRef& ref = universe.refs[a.position];
+  return {ref.schema, ref.object, a.attribute->name};
+}
+
+bool HasAttribute(const Node& node, const std::string& name) {
+  for (const ecr::Attribute& a : node.attributes) {
+    if (a.name == name) return true;
+  }
+  return false;
+}
 
 // Derived-attribute name from its component names: D_<name> when all agree,
 // D_<frag>_<frag>... otherwise.
-std::string DerivedAttributeName(const std::vector<SourceAttribute*>& members,
+std::string DerivedAttributeName(const AttributeTable& table,
+                                 const std::vector<int>& members,
                                  int fragment_length) {
   std::vector<std::string> names;
-  for (const SourceAttribute* m : members) {
-    if (std::find(names.begin(), names.end(), m->attribute.name) ==
-        names.end()) {
-      names.push_back(m->attribute.name);
+  for (int m : members) {
+    const std::string& name = table.entries[m].attribute->name;
+    if (std::find(names.begin(), names.end(), name) == names.end()) {
+      names.push_back(name);
     }
   }
   if (names.size() == 1) return "D_" + names.front();
@@ -363,70 +512,77 @@ std::string DerivedAttributeName(const std::vector<SourceAttribute*>& members,
 }
 
 // Runs equivalence-class merging and attribute copying over one lattice.
-// Fills node.attributes, emits DerivedAttributeInfo records and the
-// per-source-attribute targets used by the mappings.
-void PlaceAttributes(
-    Lattice& lattice, std::vector<SourceAttribute>& attributes,
-    const EquivalenceMap& equivalence, const IntegrationOptions& options,
-    std::vector<DerivedAttributeInfo>& derived_out,
-    std::map<ecr::AttributePath, AttributeMapping>& target_out) {
-  // Group source attributes by equivalence class.
-  std::map<ecr::AttributePath, SourceAttribute*> by_path;
-  for (SourceAttribute& a : attributes) by_path[a.path] = &a;
-
-  std::set<const SourceAttribute*> consumed;
-  // Per-node used attribute names, to keep derived + copied names unique.
-  std::vector<std::set<std::string>> used(lattice.nodes.size());
-
-  for (const std::vector<ecr::AttributePath>& eq_class :
-       equivalence.NontrivialClasses()) {
-    std::vector<SourceAttribute*> members;
-    for (const ecr::AttributePath& path : eq_class) {
-      auto it = by_path.find(path);
-      if (it != by_path.end()) members.push_back(it->second);
+// Fills node.attributes, emits DerivedAttributeInfo records and each
+// entry's target, which the mappings read.
+// `classes` are the equivalence map's nontrivial classes in class-number
+// order, members in path order.
+void PlaceAttributes(Lattice& lattice, const Universe& universe,
+                     AttributeTable& table, const EquivalenceMap& equivalence,
+                     const std::vector<std::vector<int>>& classes,
+                     const IntegrationOptions& options,
+                     std::vector<DerivedAttributeInfo>& derived_out) {
+  for (const std::vector<int>& ids : classes) {
+    std::vector<int> members;
+    for (int id : ids) {
+      const ecr::AttributePath& path = equivalence.PathAt(id);
+      int p = universe.PositionOf(path.schema, path.object);
+      if (p < 0) continue;
+      const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
+      for (size_t t = 0; t < attributes.size(); ++t) {
+        if (attributes[t].name == path.attribute) {
+          members.push_back(table.begin[p] + static_cast<int>(t));
+          break;
+        }
+      }
     }
     if (members.size() < 2) continue;  // class does not span this lattice
-    std::set<int> owners;
-    for (SourceAttribute* m : members) owners.insert(m->node);
+    std::vector<int> owners;
+    for (int m : members) owners.push_back(table.entries[m].node);
     int placement = lattice.Placement(owners);
     if (placement < 0) continue;  // no common generalization; copy as-is
 
     ecr::Attribute merged;
-    merged.name = DerivedAttributeName(members, options.name_prefix_length);
-    merged.domain = members.front()->attribute.domain;
+    merged.name =
+        DerivedAttributeName(table, members, options.name_prefix_length);
+    merged.domain = table.entries[members.front()].attribute->domain;
     merged.is_key = true;
-    for (SourceAttribute* m : members) {
-      merged.domain = MergeDomains(merged.domain, m->attribute.domain);
-      merged.is_key = merged.is_key && m->attribute.is_key;
+    for (int m : members) {
+      const ecr::Attribute& a = *table.entries[m].attribute;
+      merged.domain = MergeDomains(merged.domain, a.domain);
+      merged.is_key = merged.is_key && a.is_key;
     }
-    while (used[placement].count(merged.name)) merged.name += "_x";
-    used[placement].insert(merged.name);
-    lattice.nodes[placement].attributes.push_back(merged);
+    Node& owner = lattice.nodes[placement];
+    while (HasAttribute(owner, merged.name)) merged.name += "_x";
+    owner.attributes.push_back(merged);
 
     DerivedAttributeInfo info;
-    info.owner = lattice.nodes[placement].name;
+    info.owner = owner.name;
     info.name = merged.name;
-    for (SourceAttribute* m : members) {
-      info.components.push_back(m->path);
-      consumed.insert(m);
-      target_out[m->path] = AttributeMapping{
-          m->path.attribute, info.owner, merged.name};
+    for (int m : members) {
+      SourceAttribute& a = table.entries[m];
+      info.components.push_back(PathOf(universe, a));
+      a.consumed = true;
+      a.target_node = placement;
+      a.target_name = merged.name;
     }
     derived_out.push_back(std::move(info));
   }
 
   // Copy every unconsumed attribute onto its node, renaming on collision.
-  for (SourceAttribute& a : attributes) {
-    if (consumed.count(&a)) continue;
-    ecr::Attribute copy = a.attribute;
-    if (used[a.node].count(copy.name)) {
-      copy.name = a.path.schema + "_" + copy.name;
-      while (used[a.node].count(copy.name)) copy.name += "_x";
+  for (size_t e = 0; e < table.entries.size(); ++e) {
+    SourceAttribute& a = table.entries[e];
+    if (a.consumed) continue;
+    Node& node = lattice.nodes[a.node];
+    ecr::Attribute copy = *a.attribute;
+    if (HasAttribute(node, copy.name)) {
+      copy.name = universe.refs[a.position].schema + "_" + copy.name;
+      while (HasAttribute(node, copy.name)) copy.name += "_x";
     }
-    used[a.node].insert(copy.name);
-    lattice.nodes[a.node].attributes.push_back(copy);
-    target_out[a.path] = AttributeMapping{
-        a.path.attribute, lattice.nodes[a.node].name, copy.name};
+    a.target_node = a.node;
+    a.target_name = copy.name;
+    node.attributes.push_back(std::move(copy));
+    table.survivor[table.Canonical(universe, static_cast<int>(e))] =
+        static_cast<int>(e);
   }
 }
 
@@ -472,10 +628,12 @@ std::vector<NodeParticipation> MergeParticipantLists(
     const std::vector<NodeParticipation>& base,
     const std::vector<NodeParticipation>& extra, const Lattice& objects) {
   std::vector<NodeParticipation> out = base;
-  std::vector<char> matched(out.size(), 0);
+  std::vector<char> matched(base.size(), 0);
   for (const NodeParticipation& p : extra) {
     bool merged = false;
-    for (size_t i = 0; i < out.size(); ++i) {
+    // Each participant of `base` absorbs at most one of `extra`; those
+    // appended from `extra` are roles of one relationship and stay apart.
+    for (size_t i = 0; i < base.size(); ++i) {
       if (matched[i]) continue;
       if (ParticipantsCompatible(out[i], p, objects)) {
         MergeParticipant(out[i], p, objects);
@@ -541,20 +699,12 @@ Result<IntegrationResult> IntegrateSeeded(
     components.push_back(schema);
   }
 
-  // Universes, in schema order then declaration order.
-  std::vector<ObjectRef> object_universe;
-  std::vector<ObjectRef> relationship_universe;
-  for (const ecr::Schema* schema : components) {
-    for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
-      object_universe.push_back({schema->name(), schema->object(i).name});
-    }
-    for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
-      relationship_universe.push_back(
-          {schema->name(), schema->relationship(i).name});
-    }
-  }
+  Universe object_universe =
+      MakeUniverse(components, StructureKind::kObjectClass, assertions);
+  Universe relationship_universe =
+      MakeUniverse(components, StructureKind::kRelationshipSet, assertions);
 
-  std::set<std::string> used_names;
+  std::unordered_set<std::string> used_names;
   ECRINT_ASSIGN_OR_RETURN(
       Lattice objects,
       BuildLattice(object_universe, assertions, options, used_names));
@@ -564,43 +714,28 @@ Result<IntegrationResult> IntegrateSeeded(
 
   IntegrationResult result;
   result.schema.set_name(options.result_name);
-  result.object_clusters = BuildClusters(assertions, object_universe);
+  result.object_clusters = BuildClusters(assertions, object_universe.refs);
   result.relationship_clusters =
-      BuildClusters(assertions, relationship_universe);
+      BuildClusters(assertions, relationship_universe.refs);
 
   // --- attributes ----------------------------------------------------------
-  std::map<ecr::AttributePath, AttributeMapping> attribute_targets;
-  {
-    std::vector<SourceAttribute> object_attributes;
-    std::vector<SourceAttribute> relationship_attributes;
-    for (const ecr::Schema* schema : components) {
-      for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
-        const ecr::ObjectClass& object = schema->object(i);
-        for (const ecr::Attribute& a : object.attributes) {
-          object_attributes.push_back(
-              {{schema->name(), object.name, a.name},
-               a,
-               objects.node_of.at({schema->name(), object.name})});
-        }
-      }
-      for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
-        const ecr::RelationshipSet& rel = schema->relationship(i);
-        for (const ecr::Attribute& a : rel.attributes) {
-          relationship_attributes.push_back(
-              {{schema->name(), rel.name, a.name},
-               a,
-               rels.node_of.at({schema->name(), rel.name})});
-        }
-      }
-    }
-    PlaceAttributes(objects, object_attributes, equivalence, options,
-                    result.derived_attributes, attribute_targets);
-    PlaceAttributes(rels, relationship_attributes, equivalence, options,
-                    result.derived_attributes, attribute_targets);
+  AttributeTable object_attributes = MakeAttributeTable(object_universe,
+                                                        objects);
+  AttributeTable relationship_attributes =
+      MakeAttributeTable(relationship_universe, rels);
+  std::vector<std::vector<int>> classes = equivalence.NontrivialClassIndices();
+  for (std::vector<int>& ids : classes) {
+    std::sort(ids.begin(), ids.end(), [&](int x, int y) {
+      return equivalence.PathAt(x) < equivalence.PathAt(y);
+    });
   }
+  PlaceAttributes(objects, object_universe, object_attributes, equivalence,
+                  classes, options, result.derived_attributes);
+  PlaceAttributes(rels, relationship_universe, relationship_attributes,
+                  equivalence, classes, options, result.derived_attributes);
 
   // --- assemble object classes --------------------------------------------
-  std::vector<int> object_order = TopoOrder(objects);
+  std::vector<int> object_order = TopoOrder(objects.nodes);
   std::vector<ecr::ObjectId> node_to_id(objects.nodes.size(),
                                         ecr::kNoObject);
   for (int node : object_order) {
@@ -633,24 +768,29 @@ Result<IntegrationResult> IntegrateSeeded(
   }
 
   // --- assemble relationship sets -----------------------------------------
-  // Participants of every source relationship, against object node ids.
+  // Participants of the source relationship at `position`, against object
+  // node ids; a schema listed twice contributes them once per listing.
   auto source_participants =
-      [&](const ObjectRef& ref) -> std::vector<NodeParticipation> {
+      [&](int position) -> std::vector<NodeParticipation> {
+    const Universe& u = relationship_universe;
+    int listing = u.listing[position];
+    int index = position - u.offset[listing];
     std::vector<NodeParticipation> out;
-    for (const ecr::Schema* schema : components) {
-      if (schema->name() != ref.schema) continue;
-      ecr::RelationshipId id = schema->FindRelationship(ref.object);
-      if (id < 0) continue;
-      for (const ecr::Participation& p : schema->relationship(id).participants) {
-        out.push_back({objects.node_of.at(
-                           {schema->name(), schema->object(p.object).name}),
-                       p.min_card, p.max_card, p.role});
+    for (size_t k = 0; k < components.size(); ++k) {
+      const ecr::Schema& schema = *components[k];
+      if (schema.name() != components[listing]->name()) continue;
+      for (const ecr::Participation& p :
+           schema.relationship(index).participants) {
+        int object = object_universe.canonical[object_universe.offset[k] +
+                                               p.object];
+        out.push_back({objects.node_of[object], p.min_card, p.max_card,
+                       p.role});
       }
     }
     return out;
   };
 
-  std::vector<int> rel_order = TopoOrder(rels);
+  std::vector<int> rel_order = TopoOrder(rels.nodes);
   std::vector<std::vector<NodeParticipation>> rel_participants(
       rels.nodes.size());
   // Children before parents so a derived relationship can generalize its
@@ -660,7 +800,7 @@ Result<IntegrationResult> IntegrateSeeded(
     int node = *it;
     const Node& n = rels.nodes[node];
     std::vector<NodeParticipation> merged;
-    for (const ObjectRef& source : n.sources) {
+    for (int source : n.sources) {
       merged = merged.empty()
                    ? source_participants(source)
                    : MergeParticipantLists(merged,
@@ -670,7 +810,10 @@ Result<IntegrationResult> IntegrateSeeded(
     if (n.sources.empty()) {
       // Derived relationship: generalize over its children.
       for (size_t child = 0; child < rels.nodes.size(); ++child) {
-        if (!rels.nodes[child].parents.count(node)) continue;
+        const std::vector<int>& parents = rels.nodes[child].parents;
+        if (!std::binary_search(parents.begin(), parents.end(), node)) {
+          continue;
+        }
         merged = merged.empty()
                      ? rel_participants[child]
                      : MergeParticipantLists(merged, rel_participants[child],
@@ -717,37 +860,53 @@ Result<IntegrationResult> IntegrateSeeded(
   }
 
   // --- provenance & mappings ----------------------------------------------
-  auto emit_infos = [&result](const Lattice& lattice, StructureKind kind) {
+  auto emit_infos = [&result](const Lattice& lattice,
+                              const Universe& universe) {
     for (const Node& node : lattice.nodes) {
       IntegratedStructureInfo info;
       info.name = node.name;
-      info.kind = kind;
+      info.kind = universe.kind;
       info.origin = node.origin;
-      info.sources = node.sources;
+      for (int source : node.sources) {
+        info.sources.push_back(universe.refs[source]);
+      }
       result.structures.push_back(std::move(info));
     }
   };
-  emit_infos(objects, StructureKind::kObjectClass);
-  emit_infos(rels, StructureKind::kRelationshipSet);
+  emit_infos(objects, object_universe);
+  emit_infos(rels, relationship_universe);
 
-  auto emit_mappings = [&](const Lattice& lattice, StructureKind kind) {
+  // Each source's attributes in name order, as placement last wrote them.
+  auto emit_mappings = [&result](const Lattice& lattice,
+                                 const Universe& universe,
+                                 const AttributeTable& table) {
+    std::vector<int> order;
     for (const Node& node : lattice.nodes) {
-      for (const ObjectRef& source : node.sources) {
+      for (int source : node.sources) {
         StructureMapping mapping;
-        mapping.source = source;
-        mapping.kind = kind;
+        mapping.source = universe.refs[source];
+        mapping.kind = universe.kind;
         mapping.target = node.name;
-        for (auto& [path, attr_mapping] : attribute_targets) {
-          if (path.schema == source.schema && path.object == source.object) {
-            mapping.attributes.push_back(attr_mapping);
-          }
+        int p = universe.canonical[source];
+        const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
+        order.resize(attributes.size());
+        std::iota(order.begin(), order.end(), 0);
+        std::sort(order.begin(), order.end(), [&](int x, int y) {
+          return attributes[x].name < attributes[y].name;
+        });
+        for (int t : order) {
+          const SourceAttribute& a =
+              table.entries[table.survivor[table.begin[p] + t]];
+          mapping.attributes.push_back(AttributeMapping{
+              a.attribute->name, lattice.nodes[a.target_node].name,
+              a.target_name});
         }
         result.mappings.push_back(std::move(mapping));
       }
     }
   };
-  emit_mappings(objects, StructureKind::kObjectClass);
-  emit_mappings(rels, StructureKind::kRelationshipSet);
+  emit_mappings(objects, object_universe, object_attributes);
+  emit_mappings(rels, relationship_universe, relationship_attributes);
 
   return result;
 }

@@ -125,6 +125,13 @@ inline constexpr auto kComposeSetTable =
 // Number of relations in the set.
 int RelationCount(RelationSet set);
 
+// Whether `set` holds exactly one relation, and that one is not
+// disjointness: a pair pinned to it is integrating however it got pinned.
+constexpr bool PinnedNonDisjoint(RelationSet set) {
+  return set != kNoRelation && (set & (set - 1)) == 0 &&
+         set != MaskOf(SetRelation::kDisjoint);
+}
+
 // The single relation of a singleton set. Precondition: exactly one bit set.
 SetRelation TheRelation(RelationSet set);
 

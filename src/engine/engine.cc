@@ -359,13 +359,13 @@ Result<const core::IntegrationResult*> Engine::Integrate(
       schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
   int log_size = static_cast<int>(assertions_.user_assertions().size());
 
-  if (integration_.has_value() && integrated_schemas_ == names &&
+  if (integration_ && integrated_schemas_ == names &&
       integrated_schema_generation_ == schema_generation_ &&
       integrated_equivalence_generation_ == equivalence_generation_ &&
       integrated_assertion_epoch_ == assertion_epoch_ &&
       integrated_log_pos_ == log_size) {
     trace_.Count("integrate", "cache_hits");
-    return &*integration_;
+    return integration_.get();
   }
 
   const core::EquivalenceMap& equivalence = EnsureEquivalence();
@@ -380,14 +380,15 @@ Result<const core::IntegrationResult*> Engine::Integrate(
       AddDiagnostic(StatusDiagnostic("integration-failed", ladder.status()));
       return ladder.status();
     }
-    integration_ = *std::move(ladder);
+    integration_ = std::make_shared<const core::IntegrationResult>(
+        *std::move(ladder));
     ++integration_version_;
     integrated_schemas_ = std::move(names);
     integrated_schema_generation_ = schema_generation_;
     integrated_equivalence_generation_ = equivalence_generation_;
     integrated_assertion_epoch_ = assertion_epoch_;
     integrated_log_pos_ = log_size;
-    return &*integration_;
+    return integration_.get();
   }
 
   // Try to extend the cached seeded closure: valid when the schema layer is
@@ -450,7 +451,8 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     AddDiagnostic(StatusDiagnostic("integration-failed", result.status()));
     return result.status();
   }
-  integration_ = *std::move(result);
+  integration_ =
+      std::make_shared<const core::IntegrationResult>(*std::move(result));
   ++integration_version_;
   integrated_schemas_ = std::move(names);
   integrated_schema_generation_ = schema_generation_;
@@ -461,7 +463,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
                static_cast<int64_t>(integration_->object_clusters.size() +
                                     integration_->relationship_clusters
                                         .size()));
-  return &*integration_;
+  return integration_.get();
 }
 
 Status Engine::FullRebuild() {
@@ -481,7 +483,7 @@ Status Engine::FullRebuild() {
 
 Result<core::Request> Engine::TranslateRequest(const core::Request& request) {
   PhaseTrace::Scope scope(trace_, "translate");
-  if (!integration_.has_value()) {
+  if (!integration_) {
     return FailedPreconditionError(
         "no integration result; run Integrate first");
   }
@@ -491,7 +493,7 @@ Result<core::Request> Engine::TranslateRequest(const core::Request& request) {
 Result<core::FanoutPlan> Engine::TranslateRequestToComponents(
     const core::Request& request) {
   PhaseTrace::Scope scope(trace_, "translate");
-  if (!integration_.has_value()) {
+  if (!integration_) {
     return FailedPreconditionError(
         "no integration result; run Integrate first");
   }

@@ -2,6 +2,7 @@
 #define ECRINT_ENGINE_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -44,8 +45,9 @@ struct EngineOptions {
 // one: `schema_generation` guards the catalog, (`schema_generation`,
 // `equivalence_generation`) guard the equivalence map, and
 // `integration_version` counts assignments/resets of the cached
-// IntegrationResult (it is NOT the validity tag — a stale cached result
-// keeps its version until recomputed or discarded).
+// IntegrationResult, which the publisher shares by pointer (it is NOT the
+// validity tag — a stale cached result keeps its version until recomputed
+// or discarded).
 struct EngineStamp {
   int64_t schema_generation = -1;
   int64_t equivalence_generation = -1;
@@ -155,7 +157,9 @@ class Engine {
   // FullRebuild / ImportProject.
   Result<const core::IntegrationResult*> Integrate(
       std::vector<std::string> schemas = {});
-  const std::optional<core::IntegrationResult>& integration() const {
+  // The cached result, or null. Each integration is a new immutable object,
+  // so a snapshot can share it instead of copying it.
+  const std::shared_ptr<const core::IntegrationResult>& integration() const {
     return integration_;
   }
   // Drops the cached integration result without touching the other derived
@@ -213,7 +217,7 @@ class Engine {
   // same schemas would cache-hit). Checkpoints record this so recovery
   // knows whether to rebuild the integration result.
   bool IntegrationCurrent() const {
-    return integration_.has_value() &&
+    return integration_ != nullptr &&
            integrated_schema_generation_ == schema_generation_ &&
            integrated_equivalence_generation_ == equivalence_generation_ &&
            integrated_assertion_epoch_ == assertion_epoch_ &&
@@ -270,7 +274,7 @@ class Engine {
   core::AssertionStore assertions_;
   std::optional<core::EquivalenceMap> equivalence_;
   std::vector<EquivalenceEdit> equivalence_log_;
-  std::optional<core::IntegrationResult> integration_;
+  std::shared_ptr<const core::IntegrationResult> integration_;
 
   // Dirty tracking. Schema and equivalence generations tag derived caches;
   // the assertion epoch bumps on any non-append store change (retract,

@@ -96,13 +96,9 @@ bool SnapshotManager::Publish(engine::Engine& engine) {
     next->equivalence =
         std::make_shared<const core::EquivalenceMap>(engine.equivalence());
   }
-  if (previous &&
-      previous->stamp.integration_version == stamp.integration_version) {
-    next->integration = previous->integration;
-  } else if (engine.integration().has_value()) {
-    next->integration = std::make_shared<const core::IntegrationResult>(
-        *engine.integration());
-  }
+  // The engine's result is immutable and replaced, never edited, on each
+  // new integration, so it is shared rather than copied.
+  next->integration = engine.integration();
 
   next->generation = next_generation_.fetch_add(1, std::memory_order_relaxed);
   current_.store(std::move(next), std::memory_order_release);

@@ -196,7 +196,7 @@ void Session::HandleMainMenu(const std::vector<std::string>& args) {
   }
   if (choice == "6") {
     RunIntegration();
-    if (engine_.integration().has_value()) {
+    if (engine_.integration()) {
       screen_ = ScreenId::kObjectClassScreen;
     }
     return;
@@ -965,7 +965,7 @@ std::string Session::RenderAssertionConflict() const {
 
 std::string Session::RenderObjectClassScreen() const {
   Screen screen = ViewFrame("Object Class Screen");
-  if (!engine_.integration().has_value()) {
+  if (!engine_.integration()) {
     screen.Put(5, 2, "no integration result");
     return screen.Render();
   }

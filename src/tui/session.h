@@ -1,7 +1,7 @@
 #ifndef ECRINT_TUI_SESSION_H_
 #define ECRINT_TUI_SESSION_H_
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,7 +78,7 @@ class Session {
   const core::AssertionStore& assertions() const {
     return engine_.assertions();
   }
-  const std::optional<core::IntegrationResult>& integration() const {
+  const std::shared_ptr<const core::IntegrationResult>& integration() const {
     return engine_.integration();
   }
   // The pipeline engine behind the screens (phase stats, diagnostics, ...).

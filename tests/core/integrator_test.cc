@@ -498,6 +498,60 @@ TEST(IntegratorTest, RejectsEmptyAndUnknownSchemas) {
       Integrate(catalog, {"sc1", "nope"}, equivalence, assertions).ok());
 }
 
+TEST(IntegratorTest, DeepCategoryChainPlacesAttributesOnTheMergedClass) {
+  // A 40-deep category chain. The closure gives every category all of its
+  // ancestors as parents, so a node depth computed by plain recursion costs
+  // about 2^40 calls. The bottom category equals a class of a second schema
+  // and shares one equivalent attribute with it, so attribute placement
+  // needs the depth of every class in the chain.
+  constexpr int kDepth = 40;
+  auto name = [](int i) { return "C" + std::to_string(i); };
+  ecr::Catalog catalog;
+  SchemaBuilder b1("s1");
+  b1.Entity(name(0)).Attr("Key", Domain::Int(), true);
+  for (int i = 1; i <= kDepth; ++i) b1.Category(name(i), {name(i - 1)});
+  b1.Attr("Code", Domain::Char());
+  ASSERT_TRUE(catalog.AddSchema(*b1.Build()).ok());
+  SchemaBuilder b2("s2");
+  b2.Entity("Item").Attr("Code", Domain::Char());
+  ASSERT_TRUE(catalog.AddSchema(*b2.Build()).ok());
+  EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, {"s1", "s2"});
+  ASSERT_TRUE(equivalence
+                  .DeclareEquivalent({"s1", name(kDepth), "Code"},
+                                     {"s2", "Item", "Code"})
+                  .ok());
+  AssertionStore assertions;
+  ASSERT_TRUE(assertions.Assert({"s1", name(kDepth)}, {"s2", "Item"},
+                                AssertionType::kEquals).ok());
+
+  Result<IntegrationResult> result =
+      Integrate(catalog, {"s1", "s2"}, equivalence, assertions);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const ecr::Schema& s = result->schema;
+  EXPECT_TRUE(ecr::CheckSchemaValid(s).ok());
+  Result<const StructureMapping*> bottom =
+      result->MappingFor({"s1", name(kDepth)});
+  Result<const StructureMapping*> item = result->MappingFor({"s2", "Item"});
+  ASSERT_TRUE(bottom.ok() && item.ok());
+  EXPECT_EQ((*bottom)->target, "E_" + name(kDepth) + "_Item");
+  EXPECT_EQ((*item)->target, (*bottom)->target);
+  // Reduction keeps only the chain's own links.
+  for (int i = 1; i < kDepth; ++i) {
+    EXPECT_EQ(s.object(s.FindObject(name(i))).parents,
+              std::vector<ecr::ObjectId>{s.FindObject(name(i - 1))});
+  }
+  ecr::ObjectId merged = s.FindObject((*bottom)->target);
+  ASSERT_NE(merged, ecr::kNoObject);
+  EXPECT_EQ(s.object(merged).parents,
+            std::vector<ecr::ObjectId>{s.FindObject(name(kDepth - 1))});
+  // The equivalent pair merges onto the most specific class that holds
+  // both owners: the merged bottom class itself.
+  const DerivedAttributeInfo* code =
+      result->FindDerivedAttribute((*bottom)->target, "D_Code");
+  ASSERT_NE(code, nullptr);
+  EXPECT_EQ(code->components.size(), 2u);
+}
+
 TEST(IntegratorTest, ResultNameOption) {
   ecr::Catalog catalog = UniversityCatalog();
   EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, {"sc1"});

@@ -153,5 +153,43 @@ TEST(RelationshipIntegrationTest, EqualsMergeWidensCardinality) {
   EXPECT_EQ(rel.participants[1].max_card, ecr::kUnboundedCardinality);
 }
 
+TEST(RelationshipIntegrationTest, EqualsMergeKeepsUnmatchedRolesApart) {
+  // No object of one relationship relates to an object of the other, so
+  // every participant of the second is appended. The two roles over Node
+  // belong to one relationship and must stay two participants: only a
+  // participant of the first list may absorb one of the second.
+  ecr::Catalog catalog;
+  SchemaBuilder b1("g1");
+  b1.Entity("City").Attr("Name", Domain::Char(), true);
+  b1.Entity("Road").Attr("Id", Domain::Int(), true);
+  b1.Relationship("On", {{"City", 0, SchemaBuilder::kN, ""},
+                         {"Road", 0, SchemaBuilder::kN, ""}});
+  ASSERT_TRUE(catalog.AddSchema(*b1.Build()).ok());
+  SchemaBuilder b2("g2");
+  b2.Entity("Node").Attr("Id", Domain::Int(), true);
+  b2.Relationship("Edge", {{"Node", 0, SchemaBuilder::kN, "from"},
+                           {"Node", 0, SchemaBuilder::kN, "to"}});
+  ASSERT_TRUE(catalog.AddSchema(*b2.Build()).ok());
+  EquivalenceMap equivalence = *EquivalenceMap::Create(catalog, {"g1", "g2"});
+  AssertionStore assertions;
+  ASSERT_TRUE(assertions
+                  .Assert({"g1", "On"}, {"g2", "Edge"},
+                          AssertionType::kEquals)
+                  .ok());
+  Result<IntegrationResult> result =
+      Integrate(catalog, {"g1", "g2"}, equivalence, assertions);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const ecr::Schema& s = result->schema;
+  ecr::RelationshipId merged = s.FindRelationship("E_On_Edge");
+  ASSERT_GE(merged, 0);
+  const std::vector<ecr::Participation>& participants =
+      s.relationship(merged).participants;
+  ASSERT_EQ(participants.size(), 4u);
+  EXPECT_EQ(s.object(participants[2].object).name, "Node");
+  EXPECT_EQ(participants[2].role, "from");
+  EXPECT_EQ(s.object(participants[3].object).name, "Node");
+  EXPECT_EQ(participants[3].role, "to");
+}
+
 }  // namespace
 }  // namespace ecrint::core

@@ -2,16 +2,22 @@
 // DDA input the integrator must produce a structurally valid ECR schema
 // whose lattice honours every assertion, with complete mappings and
 // faithful attribute provenance. Also checks the binary ladder agrees with
-// the n-ary driver on lattice shape.
+// the n-ary driver on lattice shape, that IntegrateSeeded equals the
+// all-pairs reference algorithm field by field after every edit, and that
+// structures merge exactly when the closure equates them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "core/integrator.h"
 #include "core/nary.h"
 #include "ecr/validate.h"
+#include "reference_integrator.h"
 #include "workload/generator.h"
 
 namespace ecrint::core {
@@ -204,6 +210,323 @@ TEST_P(IntegratorPropertyTest, BinaryLadderAgreesOnLatticeShape) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntegratorPropertyTest,
                          ::testing::Values(3, 17, 42, 99, 1234));
+
+// --- differential: IntegrateSeeded against the all-pairs reference --------
+
+std::vector<std::string> Render(const std::vector<ObjectRef>& refs) {
+  std::vector<std::string> out;
+  for (const ObjectRef& ref : refs) out.push_back(ref.ToString());
+  return out;
+}
+
+std::vector<std::string> Render(const std::vector<ecr::Attribute>& attrs) {
+  std::vector<std::string> out;
+  for (const ecr::Attribute& a : attrs) {
+    out.push_back(a.name + ":" + a.domain.ToString() +
+                  (a.is_key ? ":key" : ""));
+  }
+  return out;
+}
+
+std::vector<std::string> Render(const std::vector<ecr::Participation>& ps) {
+  std::vector<std::string> out;
+  for (const ecr::Participation& p : ps) {
+    out.push_back(std::to_string(p.object) +
+                  ecr::CardinalityToString(p.min_card, p.max_card) + p.role);
+  }
+  return out;
+}
+
+std::vector<std::vector<std::string>> Render(
+    const std::vector<Cluster>& clusters) {
+  std::vector<std::vector<std::string>> out;
+  for (const Cluster& c : clusters) out.push_back(Render(c.members));
+  return out;
+}
+
+// Every field of two integration results, in order.
+void ExpectSameResult(const IntegrationResult& got,
+                      const IntegrationResult& want) {
+  const ecr::Schema& gs = got.schema;
+  const ecr::Schema& ws = want.schema;
+  EXPECT_EQ(gs.name(), ws.name());
+  ASSERT_EQ(gs.num_objects(), ws.num_objects());
+  for (ecr::ObjectId i = 0; i < gs.num_objects(); ++i) {
+    const ecr::ObjectClass& g = gs.object(i);
+    const ecr::ObjectClass& w = ws.object(i);
+    EXPECT_EQ(g.name, w.name) << "object " << i;
+    EXPECT_EQ(g.kind, w.kind) << w.name;
+    EXPECT_EQ(g.origin, w.origin) << w.name;
+    EXPECT_EQ(g.parents, w.parents) << w.name;
+    EXPECT_EQ(Render(g.attributes), Render(w.attributes)) << w.name;
+  }
+  ASSERT_EQ(gs.num_relationships(), ws.num_relationships());
+  for (ecr::RelationshipId i = 0; i < gs.num_relationships(); ++i) {
+    const ecr::RelationshipSet& g = gs.relationship(i);
+    const ecr::RelationshipSet& w = ws.relationship(i);
+    EXPECT_EQ(g.name, w.name) << "relationship " << i;
+    EXPECT_EQ(g.origin, w.origin) << w.name;
+    EXPECT_EQ(g.parents, w.parents) << w.name;
+    EXPECT_EQ(Render(g.participants), Render(w.participants)) << w.name;
+    EXPECT_EQ(Render(g.attributes), Render(w.attributes)) << w.name;
+  }
+  EXPECT_EQ(Render(got.object_clusters), Render(want.object_clusters));
+  EXPECT_EQ(Render(got.relationship_clusters),
+            Render(want.relationship_clusters));
+  ASSERT_EQ(got.structures.size(), want.structures.size());
+  for (size_t i = 0; i < got.structures.size(); ++i) {
+    const IntegratedStructureInfo& g = got.structures[i];
+    const IntegratedStructureInfo& w = want.structures[i];
+    EXPECT_EQ(g.name, w.name) << "structure " << i;
+    EXPECT_EQ(g.kind, w.kind) << w.name;
+    EXPECT_EQ(g.origin, w.origin) << w.name;
+    EXPECT_EQ(Render(g.sources), Render(w.sources)) << w.name;
+  }
+  ASSERT_EQ(got.derived_attributes.size(), want.derived_attributes.size());
+  for (size_t i = 0; i < got.derived_attributes.size(); ++i) {
+    const DerivedAttributeInfo& g = got.derived_attributes[i];
+    const DerivedAttributeInfo& w = want.derived_attributes[i];
+    EXPECT_EQ(g.owner, w.owner) << "derived attribute " << i;
+    EXPECT_EQ(g.name, w.name) << w.owner;
+    ASSERT_EQ(g.components.size(), w.components.size()) << w.name;
+    for (size_t c = 0; c < g.components.size(); ++c) {
+      EXPECT_EQ(g.components[c].ToString(), w.components[c].ToString());
+    }
+  }
+  ASSERT_EQ(got.mappings.size(), want.mappings.size());
+  for (size_t i = 0; i < got.mappings.size(); ++i) {
+    const StructureMapping& g = got.mappings[i];
+    const StructureMapping& w = want.mappings[i];
+    EXPECT_EQ(g.source.ToString(), w.source.ToString()) << "mapping " << i;
+    EXPECT_EQ(g.kind, w.kind) << w.source.ToString();
+    EXPECT_EQ(g.target, w.target) << w.source.ToString();
+    ASSERT_EQ(g.attributes.size(), w.attributes.size())
+        << w.source.ToString();
+    for (size_t a = 0; a < g.attributes.size(); ++a) {
+      EXPECT_EQ(g.attributes[a].source_attribute,
+                w.attributes[a].source_attribute);
+      EXPECT_EQ(g.attributes[a].target_owner, w.attributes[a].target_owner);
+      EXPECT_EQ(g.attributes[a].target_attribute,
+                w.attributes[a].target_attribute);
+    }
+  }
+}
+
+// Two component structures of one kind map to the same integrated
+// structure exactly when the seeded closure pins their pair to "equals".
+void ExpectMergesFollowEquality(const IntegrationResult& result,
+                                const AssertionStore& seeded) {
+  for (const StructureMapping& a : result.mappings) {
+    for (const StructureMapping& b : result.mappings) {
+      if (a.kind != b.kind || !(a.source < b.source)) continue;
+      bool merged = a.target == b.target;
+      bool equal = seeded.PossibleRelations(a.source, b.source) ==
+                   MaskOf(SetRelation::kEqual);
+      EXPECT_EQ(merged, equal)
+          << a.source.ToString() << " -> " << a.target << ", "
+          << b.source.ToString() << " -> " << b.target;
+    }
+  }
+}
+
+// One step of a DDA session: an attribute equivalence or an assertion.
+struct Edit {
+  bool is_equivalence = false;
+  ecr::AttributePath first_attribute;
+  ecr::AttributePath second_attribute;
+  Assertion assertion;
+};
+
+// A generated workload widened so every construct phase 4 handles occurs:
+// categories (seeded containment, a shared descendant that lifts the
+// entity disjointness seed, a two-level chain), relationship attributes,
+// and assertions between relationship sets and between categories, next to
+// the generator's equals / contains / overlap / disjoint-integrable truth.
+struct DifferentialSession {
+  workload::Workload workload;
+  std::vector<Edit> edits;
+};
+
+void MakeSession(uint64_t seed, int schemas, DifferentialSession* out) {
+  workload::GeneratorConfig config;
+  config.seed = seed;
+  config.num_concepts = 10;
+  config.num_schemas = schemas;
+  config.partial_extent = 0.6;
+  config.relationships_per_schema = 3;
+  Result<workload::Workload> w = workload::GenerateWorkload(config);
+  ASSERT_TRUE(w.ok()) << w.status();
+  DifferentialSession& session = *out;
+  session.workload = *std::move(w);
+  ecr::Catalog& catalog = session.workload.catalog;
+  std::mt19937_64 rng(seed * 7919 + schemas);
+
+  for (const std::string& name : session.workload.schema_names) {
+    ecr::Schema* schema = *catalog.GetMutableSchema(name);
+    int entities = schema->num_objects();
+    for (ecr::ObjectId i = 0; i < std::min(entities, 3); ++i) {
+      Result<ecr::ObjectId> sub =
+          schema->AddCategory("Sub_" + schema->object(i).name, {i});
+      ASSERT_TRUE(sub.ok()) << sub.status();
+      ASSERT_TRUE(schema
+                      ->AddObjectAttribute(
+                          *sub, {"Extra", ecr::Domain::Char(), false})
+                      .ok());
+      if (i == 0) {
+        ASSERT_TRUE(
+            schema->AddCategory("Sub2_" + schema->object(i).name, {*sub})
+                .ok());
+      }
+    }
+    if (entities >= 5) {
+      ASSERT_TRUE(schema->AddCategory("Both_" + name, {3, 4}).ok());
+    }
+    if (schema->num_relationships() > 0) {
+      ASSERT_TRUE(schema
+                      ->AddRelationshipAttribute(
+                          0, {"Since", ecr::Domain::Int(), false})
+                      .ok());
+    }
+  }
+
+  const std::vector<std::string>& names = session.workload.schema_names;
+  for (const workload::TrueAttributeMatch& match :
+       session.workload.attribute_matches) {
+    session.edits.push_back({true, match.first, match.second, {}});
+  }
+  for (const workload::TrueObjectRelation& relation :
+       session.workload.object_relations) {
+    session.edits.push_back(
+        {false, {}, {}, {relation.first, relation.second,
+                         relation.assertion}});
+  }
+  const AssertionType kTypes[] = {
+      AssertionType::kEquals, AssertionType::kContains,
+      AssertionType::kMayBe, AssertionType::kDisjointIntegrable,
+      AssertionType::kDisjointNonintegrable};
+  for (size_t s = 0; s < names.size(); ++s) {
+    for (size_t t = s + 1; t < names.size(); ++t) {
+      const ecr::Schema& a = **catalog.GetSchema(names[s]);
+      const ecr::Schema& b = **catalog.GetSchema(names[t]);
+      // Relationship sets, with their attributes declared equivalent.
+      for (int r = 0; r < std::min(a.num_relationships(),
+                                   b.num_relationships());
+           ++r) {
+        session.edits.push_back(
+            {false, {}, {},
+             {{names[s], a.relationship(r).name},
+              {names[t], b.relationship(r).name}, kTypes[rng() % 5]}});
+      }
+      if (a.num_relationships() > 0 && b.num_relationships() > 0) {
+        session.edits.push_back(
+            {true,
+             {names[s], a.relationship(0).name, "Since"},
+             {names[t], b.relationship(0).name, "Since"},
+             {}});
+      }
+      // Categories against categories of the same concept.
+      for (ecr::ObjectId i = 0; i < a.num_objects(); ++i) {
+        if (a.object(i).kind != ecr::ObjectKind::kCategory) continue;
+        ecr::ObjectId j = b.FindObject(a.object(i).name);
+        if (j == ecr::kNoObject) continue;
+        session.edits.push_back(
+            {false, {}, {},
+             {{names[s], a.object(i).name}, {names[t], b.object(j).name},
+              kTypes[rng() % 4]}});
+        if (!b.object(j).attributes.empty()) {
+          session.edits.push_back(
+              {true,
+               {names[s], a.object(i).name, "Extra"},
+               {names[t], b.object(j).name, "Extra"},
+               {}});
+        }
+      }
+    }
+  }
+  std::shuffle(session.edits.begin(), session.edits.end(), rng);
+}
+
+// Integrates with both algorithms and compares: the same error, or the
+// same result field by field.
+void ExpectMatchesReference(const ecr::Catalog& catalog,
+                            const std::vector<std::string>& names,
+                            const EquivalenceMap& equivalence,
+                            const AssertionStore& seeded,
+                            bool check_merges,
+                            const IntegrationOptions& options = {}) {
+  Result<IntegrationResult> got =
+      IntegrateSeeded(catalog, names, equivalence, seeded, options);
+  Result<IntegrationResult> want = reference::IntegrateSeeded(
+      catalog, names, equivalence, seeded, options);
+  ASSERT_EQ(got.ok(), want.ok()) << got.status() << " vs " << want.status();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+    return;
+  }
+  ExpectSameResult(*got, *want);
+  if (check_merges) ExpectMergesFollowEquality(*got, seeded);
+}
+
+class IntegratorDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, int>> {};
+
+TEST_P(IntegratorDifferentialTest, MatchesAllPairsReferenceAfterEveryEdit) {
+  auto [seed, schemas] = GetParam();
+  DifferentialSession session;
+  MakeSession(seed, schemas, &session);
+  if (HasFatalFailure()) return;
+  const ecr::Catalog& catalog = session.workload.catalog;
+  const std::vector<std::string>& names = session.workload.schema_names;
+  // Registering the schemas in reverse makes the map's attribute ids run
+  // against path order, which is the order class members must come out in.
+  Result<EquivalenceMap> equivalence = EquivalenceMap::Create(
+      catalog, std::vector<std::string>(names.rbegin(), names.rend()));
+  ASSERT_TRUE(equivalence.ok()) << equivalence.status();
+  AssertionStore user;
+  AssertionStore seeded;
+  ASSERT_TRUE(SeedForIntegration(seeded, catalog, names).ok());
+
+  int accepted = 0;
+  for (size_t step = 0; step < session.edits.size(); ++step) {
+    const Edit& edit = session.edits[step];
+    if (edit.is_equivalence) {
+      (void)equivalence->DeclareEquivalent(edit.first_attribute,
+                                           edit.second_attribute);
+    } else {
+      // A contradicting assertion is refused and leaves the store as it
+      // was, as Screen 9 does.
+      if (seeded.Assert(edit.assertion).ok()) {
+        ++accepted;
+        (void)user.Assert(edit.assertion);
+      }
+    }
+    SCOPED_TRACE("after edit " + std::to_string(step));
+    ExpectMatchesReference(catalog, names, *equivalence, seeded,
+                           step % 16 == 0 ||
+                               step + 1 == session.edits.size());
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(accepted, 0);
+
+  // A schema listed twice: every structure appears at two positions, and
+  // lookups by name resolve to the later listing. Unseeded, structures no
+  // assertion names stay unknown to the store and keep both positions apart.
+  std::vector<std::string> twice = names;
+  twice.push_back(names.front());
+  AssertionStore reseeded = seeded;
+  ASSERT_TRUE(SeedForIntegration(reseeded, catalog, twice).ok());
+  SCOPED_TRACE("first schema listed twice");
+  ExpectMatchesReference(catalog, twice, *equivalence, reseeded, false);
+  IntegrationOptions unseeded;
+  unseeded.seed_category_containment = false;
+  unseeded.seed_entity_disjointness = false;
+  ExpectMatchesReference(catalog, twice, *equivalence, user, false, unseeded);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsBySchemas, IntegratorDifferentialTest,
+    ::testing::Combine(::testing::Values(3, 17, 42, 99, 1234),
+                       ::testing::Values(2, 3, 4)));
 
 }  // namespace
 }  // namespace ecrint::core

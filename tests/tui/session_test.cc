@@ -291,7 +291,7 @@ TEST(SessionTest, ProjectExportImportRoundTrip) {
   EXPECT_EQ(resumed.assertions().user_assertions().size(), 2u);
   // The resumed session can go straight to integration over all schemas.
   Drive(resumed, {"6"});
-  ASSERT_TRUE(resumed.integration().has_value());
+  ASSERT_TRUE(resumed.integration() != nullptr);
   EXPECT_NE(resumed.integration()->schema.FindObject("E_Department"),
             ecr::kNoObject);
 }

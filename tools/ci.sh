@@ -20,11 +20,11 @@
 #            diskless) over real sockets: snapshot bootstrap, identical
 #            exports everywhere, NOT_LEADER redirects, kill -9 of the
 #            leader mid-stream, and reconvergence after its restart.
-#   bench    Release build of perf_closure, short sweep of the closure
-#            kernel, then BM_AssertChain/64 compared against the recorded
-#            number in BENCH_resemblance.json: fail on >2x regression,
-#            plus the mixed-throughput number in BENCH_service.json
-#            sanity-checked against the recorded Release stamp.
+#   bench    Release build of perf_closure and perf_engine; fails when
+#            BM_AssertChain/64 (BENCH_resemblance.json) or
+#            BM_EngineIncrementalEdit/250 (BENCH_engine.json) runs over 2x
+#            its recorded number; also sanity-checks the mixed-throughput
+#            number in BENCH_service.json against the recorded Release stamp.
 #   protocol-compat
 #            ASan build of the wire surfaces, then cross-version protocol
 #            checks: the golden v1 transcript + fuzz/batch/cache suites, the
@@ -1211,48 +1211,66 @@ run_chaos_suite() {
 # The recorded number comes from a long Release run on the reference host;
 # 2x absorbs host jitter while still catching an accidental return to the
 # O(N^3) recompute path (a ~30x slowdown).
+# Fails when `name` in the fresh google-benchmark JSON `report` takes more
+# than 2x its time in `recorded`, a BENCH_*.json written by
+# bench/run_benches.sh from a Release build.
+check_bench_regression() {
+  local report="$1" recorded="$2" name="$3"
+  python3 - "${report}" "${recorded}" "${name}" <<'PY'
+import json
+import os
+import sys
+
+report, recorded_path, name = sys.argv[1], sys.argv[2], sys.argv[3]
+recorded_file = os.path.basename(recorded_path)
+LIMIT = 2.0
+
+with open(report) as f:
+    fresh = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]
+             if b.get("run_type") == "iteration"}
+with open(recorded_path) as f:
+    recorded_doc = json.load(f)
+recorded = {b["name"]: b["real_time"]
+            for b in recorded_doc.get("benchmarks", [])
+            if b.get("run_type") == "iteration"}
+
+if name not in fresh:
+    sys.exit(f"bench gate: {name} missing from the fresh sweep")
+if name not in recorded:
+    sys.exit(f"bench gate: {name} missing from {recorded_file}; "
+             "re-record with bench/run_benches.sh from a Release build")
+if not recorded_doc.get("context", {}).get("ecrint_release_build"):
+    sys.exit(f"bench gate: {recorded_file} was not stamped as a Release "
+             "build; re-record with bench/run_benches.sh")
+
+ratio = fresh[name] / recorded[name]
+print(f"bench gate: {name} fresh={fresh[name]:.0f}ns "
+      f"recorded={recorded[name]:.0f}ns ratio={ratio:.2f}x (limit {LIMIT}x)")
+if ratio > LIMIT:
+    sys.exit(f"bench gate: {name} regressed {ratio:.2f}x over the recorded "
+             f"baseline in {recorded_file} (limit {LIMIT}x)")
+PY
+}
+
 run_bench_suite() {
   local build_dir="${repo_root}/build-ci-bench"
   echo "=== bench: configure + build (Release)" >&2
-  configure_and_build "${build_dir}" perf_closure -- \
+  configure_and_build "${build_dir}" perf_closure perf_engine -- \
     -DCMAKE_BUILD_TYPE=Release
   echo "=== bench: BM_AssertChain sweep" >&2
   local report="${build_dir}/bench_smoke.json"
   "${build_dir}/bench/perf_closure" \
     --benchmark_filter='BM_AssertChain' \
     --benchmark_format=json >"${report}"
-  python3 - "${report}" "${repo_root}/BENCH_resemblance.json" <<'PY'
-import json
-import sys
-
-NAME = "BM_AssertChain/64"
-LIMIT = 2.0
-
-with open(sys.argv[1]) as f:
-    fresh = {b["name"]: b["real_time"] for b in json.load(f)["benchmarks"]
-             if b.get("run_type") == "iteration"}
-with open(sys.argv[2]) as f:
-    recorded_doc = json.load(f)
-recorded = {b["name"]: b["real_time"]
-            for b in recorded_doc.get("benchmarks", [])
-            if b.get("run_type") == "iteration"}
-
-if NAME not in fresh:
-    sys.exit(f"bench gate: {NAME} missing from the fresh sweep")
-if NAME not in recorded:
-    sys.exit(f"bench gate: {NAME} missing from BENCH_resemblance.json; "
-             "re-record with bench/run_benches.sh from a Release build")
-if not recorded_doc.get("context", {}).get("ecrint_release_build"):
-    sys.exit("bench gate: recorded baseline was not stamped as a Release "
-             "build; re-record with bench/run_benches.sh")
-
-ratio = fresh[NAME] / recorded[NAME]
-print(f"bench gate: {NAME} fresh={fresh[NAME]:.0f}ns "
-      f"recorded={recorded[NAME]:.0f}ns ratio={ratio:.2f}x (limit {LIMIT}x)")
-if ratio > LIMIT:
-    sys.exit(f"bench gate: {NAME} regressed {ratio:.2f}x over the recorded "
-             f"baseline (limit {LIMIT}x)")
-PY
+  check_bench_regression "${report}" "${repo_root}/BENCH_resemblance.json" \
+    "BM_AssertChain/64"
+  echo "=== bench: engine incremental edit" >&2
+  local engine_report="${build_dir}/bench_engine.json"
+  "${build_dir}/bench/perf_engine" \
+    --benchmark_filter='BM_EngineIncrementalEdit/250' \
+    --benchmark_format=json >"${engine_report}"
+  check_bench_regression "${engine_report}" "${repo_root}/BENCH_engine.json" \
+    "BM_EngineIncrementalEdit/250"
   echo "=== bench: service mixed-throughput gate" >&2
   # The recorded service numbers must come from a Release build, and both
   # binary planes must clearly beat the plain text plane. The floor is a
