@@ -164,6 +164,9 @@ if merged["context"] is None:
 # numbers (checked against "Release" by the gate above and by tools/ci.sh).
 merged["context"]["ecrint_build_type"] = build_type
 merged["context"]["ecrint_release_build"] = build_type == "Release"
+# The hardware threads this process may run on (what `nproc` prints), so a
+# number recorded on one core is never read as a multi-core one.
+merged["context"]["hardware_threads"] = len(os.sched_getaffinity(0))
 
 # Asymptotic fits from ->Complexity() sweeps (e.g. the closure worklist
 # kernel): surfaced top-level so regressions back toward N^3 are visible in

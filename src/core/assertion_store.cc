@@ -57,6 +57,8 @@ void AssertionStore::Grow(int min_capacity) {
   std::vector<RelationSet> rel(cells, kAnyRelation);
   std::vector<uint64_t> constrained(
       static_cast<size_t>(new_capacity) * new_words, 0);
+  std::vector<uint64_t> pinned(static_cast<size_t>(new_capacity) * new_words,
+                               0);
   std::vector<int32_t> direct(cells, -1);
   std::vector<int32_t> deriv_head(cells, -1);
   int n = num_objects();
@@ -66,6 +68,8 @@ void AssertionStore::Grow(int min_capacity) {
     std::copy_n(constrained_.begin() + static_cast<size_t>(i) * words_,
                 words_,
                 constrained.begin() + static_cast<size_t>(i) * new_words);
+    std::copy_n(pinned_.begin() + static_cast<size_t>(i) * words_, words_,
+                pinned.begin() + static_cast<size_t>(i) * new_words);
     std::copy_n(direct_.begin() + static_cast<size_t>(i) * capacity_, n,
                 direct.begin() + static_cast<size_t>(i) * new_capacity);
     std::copy_n(deriv_head_.begin() + static_cast<size_t>(i) * capacity_, n,
@@ -73,6 +77,7 @@ void AssertionStore::Grow(int min_capacity) {
   }
   rel_ = std::move(rel);
   constrained_ = std::move(constrained);
+  pinned_ = std::move(pinned);
   direct_ = std::move(direct);
   deriv_head_ = std::move(deriv_head);
   queued_.assign(cells, 0);
@@ -112,6 +117,7 @@ void AssertionStore::Rollback() {
     int b = static_cast<int>(it->cell % capacity_);
     rel_[it->cell] = it->rel;
     rel_[Cell(b, a)] = Converse(it->rel);
+    SetPinned(a, b, it->rel);
     if (it->rel == kAnyRelation) {
       ClearConstrainedBit(a, b);
       ClearConstrainedBit(b, a);
@@ -134,6 +140,7 @@ bool AssertionStore::Narrow(int x, int y, RelationSet refined, int via) {
   undo_.push_back({cn, rel_[cn], direct_[cn], deriv_head_[cn]});
   rel_[Cell(x, y)] = refined;
   rel_[Cell(y, x)] = Converse(refined);
+  SetPinned(x, y, refined);
   SetConstrainedBit(x, y);
   SetConstrainedBit(y, x);
   if (via >= 0) {
@@ -328,6 +335,7 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   rel_[Cell(b, a)] = Converse(refined);
   direct_[cn] = assertion_id;
   if (a != b) {
+    SetPinned(a, b, refined);
     SetConstrainedBit(a, b);
     SetConstrainedBit(b, a);
     if (changed && !queued_[cn]) {
@@ -548,6 +556,7 @@ void AssertionStore::MergeComponent(
       int mj = object_map[j];
       rel_[Cell(mi, mj)] = v;
       rel_[Cell(mj, mi)] = Converse(v);
+      SetPinned(mi, mj, v);
       if (v != kAnyRelation) {
         SetConstrainedBit(mi, mj);
         SetConstrainedBit(mj, mi);

@@ -1,6 +1,7 @@
 #ifndef ECRINT_CORE_ASSERTION_STORE_H_
 #define ECRINT_CORE_ASSERTION_STORE_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -107,13 +108,15 @@ class AssertionStore {
   RelationSet RelationAt(int a, int b) const { return rel_[Cell(a, b)]; }
   bool IsIntegratingAt(int a, int b) const;
 
-  // Calls fn(b) for every b > a whose pair with `a` is constrained (not
-  // kAnyRelation), in ascending order, by scanning row a's bitmap. An
-  // unconstrained pair can neither merge, order nor cluster two structures,
-  // so these are the only pairs phase 4 has to visit.
+  // Calls fn(b) for every b > a with PinnedNonDisjoint(RelationAt(a, b)),
+  // in ascending order, by scanning row a of the pinned-pair index. Only
+  // these =, ⊂, ⊃ and overlap pairs can merge, order or cluster two
+  // structures from the relation alone; the disjoint-integrable pairs are
+  // listed separately, and every other pair (ambiguous or disjoint) joins
+  // nothing, so phase 4 visits pinned pairs only.
   template <typename Fn>
-  void ForEachConstrainedAbove(int a, Fn&& fn) const {
-    const uint64_t* bits = &constrained_[static_cast<size_t>(a) * words_];
+  void ForEachPinnedAbove(int a, Fn&& fn) const {
+    const uint64_t* bits = &pinned_[static_cast<size_t>(a) * words_];
     int first = a + 1;
     for (int w = first >> 6; w < words_; ++w) {
       uint64_t word = bits[w];
@@ -253,6 +256,15 @@ class AssertionStore {
     constrained_[static_cast<size_t>(i) * words_ + (j >> 6)] &=
         ~(uint64_t{1} << (j & 63));
   }
+  // Keeps the pinned-pair index in step with a write of `rel` to pair
+  // (i,j); every write to rel_ off the diagonal goes through here.
+  void SetPinned(int i, int j, RelationSet rel) {
+    int lo = std::min(i, j);
+    int hi = std::max(i, j);
+    uint64_t& word = pinned_[static_cast<size_t>(lo) * words_ + (hi >> 6)];
+    uint64_t bit = uint64_t{1} << (hi & 63);
+    word = PinnedNonDisjoint(rel) ? word | bit : word & ~bit;
+  }
 
   void BeginTxn();
   void CommitTxn();
@@ -300,6 +312,8 @@ class AssertionStore {
   int words_ = 0;  // 64-bit bitmap words per row == capacity_ / 64
   std::vector<RelationSet> rel_;
   std::vector<uint64_t> constrained_;  // bit j of row i: rel_[i][j] != ANY
+  // Bit j of row i, for i < j only: PinnedNonDisjoint(rel_[i][j]).
+  std::vector<uint64_t> pinned_;
   std::vector<int32_t> direct_;        // latest direct assertion id, -1 none
   std::vector<int32_t> deriv_head_;    // head of DerivRecord chain, -1 none
   std::vector<DerivRecord> deriv_pool_;

@@ -7,6 +7,15 @@ namespace ecrint::core {
 
 std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe) {
+  std::vector<int> ids;
+  ids.reserve(universe.size());
+  for (const ObjectRef& ref : universe) ids.push_back(store.IdOf(ref));
+  return BuildClusters(store, universe, ids);
+}
+
+std::vector<Cluster> BuildClusters(const AssertionStore& store,
+                                   const std::vector<ObjectRef>& universe,
+                                   const std::vector<int>& ids) {
   int n = static_cast<int>(universe.size());
   std::vector<int> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
@@ -21,9 +30,7 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
   // First universe position of each store id. A structure listed twice is
   // integrating with itself, so its positions join at once.
   std::vector<int> first_at(store.num_objects(), -1);
-  std::vector<int> ids(n);
   for (int i = 0; i < n; ++i) {
-    ids[i] = store.IdOf(universe[i]);
     if (ids[i] < 0) continue;
     if (first_at[ids[i]] < 0) {
       first_at[ids[i]] = i;
@@ -32,16 +39,15 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
     }
   }
   // Integrating pairs: those pinned to one relation other than
-  // disjointness, read from the relation alone, plus disjoint pairs whose
-  // latest assertion is disjoint-integrable, all of which are listed.
+  // disjointness, read from the store's pinned-pair index, plus disjoint
+  // pairs whose latest assertion is disjoint-integrable, all of which are
+  // listed.
   for (int i = 0; i < n; ++i) {
     int a = ids[i];
     if (a < 0 || first_at[a] != i) continue;
-    store.ForEachConstrainedAbove(a, [&](int b) {
+    store.ForEachPinnedAbove(a, [&](int b) {
       int j = first_at[b];
-      if (j >= 0 && PinnedNonDisjoint(store.RelationAt(a, b))) {
-        parent[find(i)] = find(j);
-      }
+      if (j >= 0) parent[find(i)] = find(j);
     });
   }
   for (auto [a, b] : store.disjoint_integrable_pairs()) {

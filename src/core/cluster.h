@@ -23,6 +23,12 @@ struct Cluster {
 std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe);
 
+// The same, for callers that already resolved each universe member's
+// store id (AssertionStore::IdOf, -1 when unknown) as `ids`.
+std::vector<Cluster> BuildClusters(const AssertionStore& store,
+                                   const std::vector<ObjectRef>& universe,
+                                   const std::vector<int>& ids);
+
 }  // namespace ecrint::core
 
 #endif  // ECRINT_CORE_CLUSTER_H_

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
-#include <unordered_set>
+#include <span>
 
+#include "common/clock.h"
+#include "common/interner.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
 #include "core/seeding.h"
@@ -53,6 +55,14 @@ Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
   u.kind = kind;
   u.schemas = schemas;
   int listings = static_cast<int>(schemas.size());
+  int total = 0;
+  for (const ecr::Schema* schema : schemas) {
+    total += kind == StructureKind::kObjectClass ? schema->num_objects()
+                                                 : schema->num_relationships();
+  }
+  u.refs.reserve(total);
+  u.attributes.reserve(total);
+  u.listing.reserve(total);
   for (int k = 0; k < listings; ++k) {
     const ecr::Schema& schema = *schemas[k];
     u.offset.push_back(u.size());
@@ -154,17 +164,15 @@ struct Lattice {
   // each other only when one generalizes all; the deepest common ancestor
   // is the most specific placement. Ties break to the lowest node index for
   // determinism.
-  int Placement(const std::vector<int>& owners) const {
-    std::vector<uint64_t> common(AncestorRow(owners[0]),
-                                 AncestorRow(owners[0]) + words);
-    for (size_t i = 1; i < owners.size(); ++i) {
-      const uint64_t* row = AncestorRow(owners[i]);
-      for (int w = 0; w < words; ++w) common[w] &= row[w];
-    }
+  int Placement(std::span<const int> owners) const {
     int best = -1;
     int best_depth = -1;
     for (int w = 0; w < words; ++w) {
-      for (uint64_t bits = common[w]; bits != 0; bits &= bits - 1) {
+      uint64_t common = AncestorRow(owners[0])[w];
+      for (size_t i = 1; i < owners.size() && common != 0; ++i) {
+        common &= AncestorRow(owners[i])[w];
+      }
+      for (uint64_t bits = common; bits != 0; bits &= bits - 1) {
         int candidate = (w << 6) + std::countr_zero(bits);
         if (depth[candidate] > best_depth) {
           best = candidate;
@@ -176,7 +184,10 @@ struct Lattice {
   }
 
   // Most specific common ancestor-or-self of two nodes, or -1.
-  int CommonAncestor(int a, int b) const { return Placement({a, b}); }
+  int CommonAncestor(int a, int b) const {
+    const int pair[] = {a, b};
+    return Placement(pair);
+  }
 };
 
 std::string Fragment(const std::string& name, int length) {
@@ -186,12 +197,19 @@ std::string Fragment(const std::string& name, int length) {
   return std::string(base.substr(0, static_cast<size_t>(length)));
 }
 
+// Claims `name` in `used`; false when it was taken already.
+bool ClaimName(common::StringInterner& used, const std::string& name) {
+  int before = used.size();
+  used.Intern(name);
+  return used.size() > before;
+}
+
 // Reserves a name, appending _2, _3, ... on collision.
 std::string UniqueName(const std::string& candidate,
-                       std::unordered_set<std::string>& used) {
+                       common::StringInterner& used) {
   std::string name = candidate;
   int suffix = 2;
-  while (!used.insert(name).second) {
+  while (!ClaimName(used, name)) {
     name = candidate + "_" + std::to_string(suffix++);
   }
   return name;
@@ -202,7 +220,7 @@ std::string UniqueName(const std::string& candidate,
 Result<Lattice> BuildLattice(const Universe& universe,
                              const AssertionStore& store,
                              const IntegrationOptions& options,
-                             std::unordered_set<std::string>& used_names) {
+                             common::StringInterner& used_names) {
   Lattice lattice;
   int n = universe.size();
 
@@ -235,15 +253,15 @@ Result<Lattice> BuildLattice(const Universe& universe,
     }
   }
 
-  // One pass over the store's constrained pairs among the universe collects
-  // the equals, subset and overlap pairs; ambiguous and disjoint pairs add
+  // One pass over the store's pinned pairs among the universe collects the
+  // equals, subset and overlap pairs; ambiguous and disjoint pairs add
   // nothing to the lattice.
   std::vector<std::pair<int, int>> subsets;  // (child, parent) positions
   std::vector<std::pair<int, int>> overlaps;
   for (int i = 0; i < n; ++i) {
     int a = universe.ids[i];
     if (a < 0 || first_at[a] != i) continue;
-    store.ForEachConstrainedAbove(a, [&](int b) {
+    store.ForEachPinnedAbove(a, [&](int b) {
       int j = first_at[b];
       if (j < 0) return;
       switch (store.RelationAt(a, b)) {
@@ -267,6 +285,7 @@ Result<Lattice> BuildLattice(const Universe& universe,
 
   // Nodes in order of first member occurrence.
   lattice.node_of.resize(n);
+  lattice.nodes.reserve(n);
   std::vector<int> node_of_root(n, -1);
   for (int i = 0; i < n; ++i) {
     int& node = node_of_root[find(i)];
@@ -314,7 +333,7 @@ Result<Lattice> BuildLattice(const Universe& universe,
     const ObjectRef& front = universe.refs[node.sources.front()];
     if (node.sources.size() == 1) {
       node.origin = ecr::ObjectOrigin::kComponent;
-      node.name = used_names.insert(front.object).second
+      node.name = ClaimName(used_names, front.object)
                       ? front.object
                       : UniqueName(front.schema + "_" + front.object,
                                    used_names);
@@ -362,6 +381,7 @@ Result<Lattice> BuildLattice(const Universe& universe,
   // derived node has no parents, so adding one never changes which base
   // nodes reach each other: the base lattice's closure answers every check.
   lattice.Close();
+  const size_t base_nodes = lattice.nodes.size();
   for (const auto& [a, b] : derived_pairs) {
     if (lattice.IsAncestorOrSelf(a, b) || lattice.IsAncestorOrSelf(b, a)) {
       continue;
@@ -378,7 +398,7 @@ Result<Lattice> BuildLattice(const Universe& universe,
     lattice.nodes[a].parents.push_back(id);
     lattice.nodes[b].parents.push_back(id);
   }
-  lattice.Close();
+  if (lattice.nodes.size() != base_nodes) lattice.Close();
   return lattice;
 }
 
@@ -443,8 +463,14 @@ struct SourceAttribute {
   const ecr::Attribute* attribute = nullptr;
   int node = -1;      // lattice node of the structure's canonical position
   int target_node = -1;
+  // The representative's name on target_node when it differs from the
+  // attribute's own (a derived attribute, or a copy renamed on collision).
   std::string target_name;
   bool consumed = false;  // merged into a derived attribute
+
+  const std::string& TargetName() const {
+    return target_name.empty() ? attribute->name : target_name;
+  }
 };
 
 // The component attributes of one universe, laid out by position.
@@ -461,11 +487,32 @@ struct AttributeTable {
     int p = entries[entry].position;
     return begin[universe.canonical[p]] + (entry - begin[p]);
   }
+
+  // The entry of the attribute at `path`, or -1 when this universe does
+  // not declare it.
+  int EntryOf(const Universe& universe,
+              const ecr::AttributePath& path) const {
+    int p = universe.PositionOf(path.schema, path.object);
+    if (p < 0) return -1;
+    const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
+    for (size_t t = 0; t < attributes.size(); ++t) {
+      if (attributes[t].name == path.attribute) {
+        return begin[p] + static_cast<int>(t);
+      }
+    }
+    return -1;
+  }
 };
 
 AttributeTable MakeAttributeTable(const Universe& universe,
                                   const Lattice& lattice) {
   AttributeTable table;
+  table.begin.reserve(universe.size());
+  size_t total = 0;
+  for (const std::vector<ecr::Attribute>* attributes : universe.attributes) {
+    total += attributes->size();
+  }
+  table.entries.reserve(total);
   for (int p = 0; p < universe.size(); ++p) {
     table.begin.push_back(static_cast<int>(table.entries.size()));
     for (const ecr::Attribute& a : *universe.attributes[p]) {
@@ -484,29 +531,45 @@ ecr::AttributePath PathOf(const Universe& universe,
   return {ref.schema, ref.object, a.attribute->name};
 }
 
-bool HasAttribute(const Node& node, const std::string& name) {
+bool HasAttribute(const Node& node, std::string_view name) {
   for (const ecr::Attribute& a : node.attributes) {
     if (a.name == name) return true;
   }
   return false;
 }
 
+// The equivalence map's nontrivial classes as attribute-table entries of
+// one universe, flattened: class c is entries[begin[c], begin[c + 1]), in
+// path order. Classes keep their class-number order; members another
+// universe declares are left out.
+struct ClassEntries {
+  std::vector<int> entries;
+  std::vector<int> begin = {0};
+
+  int size() const { return static_cast<int>(begin.size()) - 1; }
+  std::span<const int> Members(int c) const {
+    return {entries.data() + begin[c],
+            static_cast<size_t>(begin[c + 1] - begin[c])};
+  }
+  void EndClass() { begin.push_back(static_cast<int>(entries.size())); }
+};
+
 // Derived-attribute name from its component names: D_<name> when all agree,
 // D_<frag>_<frag>... otherwise.
 std::string DerivedAttributeName(const AttributeTable& table,
-                                 const std::vector<int>& members,
+                                 std::span<const int> members,
                                  int fragment_length) {
-  std::vector<std::string> names;
+  std::vector<const std::string*> names;
   for (int m : members) {
-    const std::string& name = table.entries[m].attribute->name;
-    if (std::find(names.begin(), names.end(), name) == names.end()) {
-      names.push_back(name);
-    }
+    const std::string* name = &table.entries[m].attribute->name;
+    bool seen = false;
+    for (const std::string* kept : names) seen = seen || *kept == *name;
+    if (!seen) names.push_back(name);
   }
-  if (names.size() == 1) return "D_" + names.front();
+  if (names.size() == 1) return "D_" + *names.front();
   std::string out = "D";
-  for (const std::string& name : names) {
-    out += "_" + Fragment(name, fragment_length);
+  for (const std::string* name : names) {
+    out += "_" + Fragment(*name, fragment_length);
   }
   return out;
 }
@@ -514,29 +577,15 @@ std::string DerivedAttributeName(const AttributeTable& table,
 // Runs equivalence-class merging and attribute copying over one lattice.
 // Fills node.attributes, emits DerivedAttributeInfo records and each
 // entry's target, which the mappings read.
-// `classes` are the equivalence map's nontrivial classes in class-number
-// order, members in path order.
 void PlaceAttributes(Lattice& lattice, const Universe& universe,
-                     AttributeTable& table, const EquivalenceMap& equivalence,
-                     const std::vector<std::vector<int>>& classes,
+                     AttributeTable& table, const ClassEntries& classes,
                      const IntegrationOptions& options,
                      std::vector<DerivedAttributeInfo>& derived_out) {
-  for (const std::vector<int>& ids : classes) {
-    std::vector<int> members;
-    for (int id : ids) {
-      const ecr::AttributePath& path = equivalence.PathAt(id);
-      int p = universe.PositionOf(path.schema, path.object);
-      if (p < 0) continue;
-      const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
-      for (size_t t = 0; t < attributes.size(); ++t) {
-        if (attributes[t].name == path.attribute) {
-          members.push_back(table.begin[p] + static_cast<int>(t));
-          break;
-        }
-      }
-    }
+  std::vector<int> owners;
+  for (int c = 0; c < classes.size(); ++c) {
+    std::span<const int> members = classes.Members(c);
     if (members.size() < 2) continue;  // class does not span this lattice
-    std::vector<int> owners;
+    owners.clear();
     for (int m : members) owners.push_back(table.entries[m].node);
     int placement = lattice.Placement(owners);
     if (placement < 0) continue;  // no common generalization; copy as-is
@@ -553,11 +602,11 @@ void PlaceAttributes(Lattice& lattice, const Universe& universe,
     }
     Node& owner = lattice.nodes[placement];
     while (HasAttribute(owner, merged.name)) merged.name += "_x";
-    owner.attributes.push_back(merged);
 
-    DerivedAttributeInfo info;
+    DerivedAttributeInfo& info = derived_out.emplace_back();
     info.owner = owner.name;
     info.name = merged.name;
+    info.components.reserve(members.size());
     for (int m : members) {
       SourceAttribute& a = table.entries[m];
       info.components.push_back(PathOf(universe, a));
@@ -565,7 +614,7 @@ void PlaceAttributes(Lattice& lattice, const Universe& universe,
       a.target_node = placement;
       a.target_name = merged.name;
     }
-    derived_out.push_back(std::move(info));
+    owner.attributes.push_back(std::move(merged));
   }
 
   // Copy every unconsumed attribute onto its node, renaming on collision.
@@ -573,14 +622,14 @@ void PlaceAttributes(Lattice& lattice, const Universe& universe,
     SourceAttribute& a = table.entries[e];
     if (a.consumed) continue;
     Node& node = lattice.nodes[a.node];
-    ecr::Attribute copy = *a.attribute;
-    if (HasAttribute(node, copy.name)) {
-      copy.name = universe.refs[a.position].schema + "_" + copy.name;
-      while (HasAttribute(node, copy.name)) copy.name += "_x";
+    if (HasAttribute(node, a.attribute->name)) {
+      a.target_name = universe.refs[a.position].schema + "_" +
+                      a.attribute->name;
+      while (HasAttribute(node, a.target_name)) a.target_name += "_x";
     }
     a.target_node = a.node;
-    a.target_name = copy.name;
-    node.attributes.push_back(std::move(copy));
+    ecr::Attribute& copy = node.attributes.emplace_back(*a.attribute);
+    if (!a.target_name.empty()) copy.name = a.target_name;
     table.survivor[table.Canonical(universe, static_cast<int>(e))] =
         static_cast<int>(e);
   }
@@ -687,7 +736,14 @@ Result<IntegrationResult> Integrate(const ecr::Catalog& catalog,
 Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& assertions,
-    const IntegrationOptions& options) {
+    const IntegrationOptions& options, IntegrateTimings* timings) {
+  // Charges the time since the previous lap to one sub-phase.
+  common::Stopwatch watch(common::RealClock());
+  auto lap = [&](int64_t IntegrateTimings::*phase) {
+    if (timings == nullptr) return;
+    timings->*phase += watch.ElapsedNs();
+    watch.Restart();
+  };
   if (schemas.empty()) {
     return InvalidArgumentError("Integrate needs at least one schema");
   }
@@ -704,7 +760,9 @@ Result<IntegrationResult> IntegrateSeeded(
   Universe relationship_universe =
       MakeUniverse(components, StructureKind::kRelationshipSet, assertions);
 
-  std::unordered_set<std::string> used_names;
+  common::StringInterner used_names;
+  used_names.Reserve(2 * static_cast<size_t>(object_universe.size() +
+                                             relationship_universe.size()));
   ECRINT_ASSIGN_OR_RETURN(
       Lattice objects,
       BuildLattice(object_universe, assertions, options, used_names));
@@ -712,34 +770,54 @@ Result<IntegrationResult> IntegrateSeeded(
       Lattice rels,
       BuildLattice(relationship_universe, assertions, options, used_names));
 
+  lap(&IntegrateTimings::lattice_ns);
+
   IntegrationResult result;
   result.schema.set_name(options.result_name);
-  result.object_clusters = BuildClusters(assertions, object_universe.refs);
-  result.relationship_clusters =
-      BuildClusters(assertions, relationship_universe.refs);
+  result.object_clusters = BuildClusters(assertions, object_universe.refs,
+                                         object_universe.ids);
+  result.relationship_clusters = BuildClusters(
+      assertions, relationship_universe.refs, relationship_universe.ids);
+  lap(&IntegrateTimings::clusters_ns);
 
   // --- attributes ----------------------------------------------------------
   AttributeTable object_attributes = MakeAttributeTable(object_universe,
                                                         objects);
   AttributeTable relationship_attributes =
       MakeAttributeTable(relationship_universe, rels);
-  std::vector<std::vector<int>> classes = equivalence.NontrivialClassIndices();
-  for (std::vector<int>& ids : classes) {
+  // Each class member resolves once to the table entry of the universe that
+  // declares it (object and relationship names never coincide in a schema).
+  ClassEntries object_classes;
+  ClassEntries relationship_classes;
+  for (std::vector<int>& ids : equivalence.NontrivialClassIndices()) {
     std::sort(ids.begin(), ids.end(), [&](int x, int y) {
       return equivalence.PathAt(x) < equivalence.PathAt(y);
     });
+    for (int id : ids) {
+      const ecr::AttributePath& path = equivalence.PathAt(id);
+      int entry = object_attributes.EntryOf(object_universe, path);
+      if (entry >= 0) {
+        object_classes.entries.push_back(entry);
+        continue;
+      }
+      entry = relationship_attributes.EntryOf(relationship_universe, path);
+      if (entry >= 0) relationship_classes.entries.push_back(entry);
+    }
+    object_classes.EndClass();
+    relationship_classes.EndClass();
   }
-  PlaceAttributes(objects, object_universe, object_attributes, equivalence,
-                  classes, options, result.derived_attributes);
+  PlaceAttributes(objects, object_universe, object_attributes,
+                  object_classes, options, result.derived_attributes);
   PlaceAttributes(rels, relationship_universe, relationship_attributes,
-                  equivalence, classes, options, result.derived_attributes);
+                  relationship_classes, options, result.derived_attributes);
+  lap(&IntegrateTimings::attributes_ns);
 
   // --- assemble object classes --------------------------------------------
   std::vector<int> object_order = TopoOrder(objects.nodes);
   std::vector<ecr::ObjectId> node_to_id(objects.nodes.size(),
                                         ecr::kNoObject);
   for (int node : object_order) {
-    const Node& n = objects.nodes[node];
+    Node& n = objects.nodes[node];
     std::vector<int> parents =
         DirectParents(objects, node, options.transitive_reduction);
     Result<ecr::ObjectId> id = ecr::kNoObject;
@@ -754,16 +832,16 @@ Result<IntegrationResult> IntegrateSeeded(
     if (!id.ok()) return id.status();
     node_to_id[node] = *id;
     result.schema.mutable_object(*id).origin = n.origin;
-    for (const ecr::Attribute& a : n.attributes) {
-      // Placement keeps names unique per node; an inherited clash can still
-      // occur (ancestor copied an identically named attribute), so rename.
-      ecr::Attribute attr = a;
-      Status status = result.schema.AddObjectAttribute(*id, attr);
-      while (status.code() == StatusCode::kAlreadyExists) {
-        attr.name += "_x";
-        status = result.schema.AddObjectAttribute(*id, attr);
+    for (ecr::Attribute& a : n.attributes) {
+      // Placement keeps names unique per node; a category can still
+      // inherit a clash (an ancestor copied an identically named
+      // attribute), so rename.
+      while (!parents.empty() &&
+             result.schema.HasAttributeInScope(*id, a.name)) {
+        a.name += "_x";
       }
-      if (!status.ok()) return status;
+      ECRINT_RETURN_IF_ERROR(
+          result.schema.AddObjectAttribute(*id, std::move(a)));
     }
   }
 
@@ -859,18 +937,23 @@ Result<IntegrationResult> IntegrateSeeded(
     }
   }
 
+  lap(&IntegrateTimings::assemble_ns);
+
   // --- provenance & mappings ----------------------------------------------
+  result.structures.reserve(objects.nodes.size() + rels.nodes.size());
+  result.mappings.reserve(object_universe.size() +
+                          relationship_universe.size());
   auto emit_infos = [&result](const Lattice& lattice,
                               const Universe& universe) {
     for (const Node& node : lattice.nodes) {
-      IntegratedStructureInfo info;
+      IntegratedStructureInfo& info = result.structures.emplace_back();
       info.name = node.name;
       info.kind = universe.kind;
       info.origin = node.origin;
+      info.sources.reserve(node.sources.size());
       for (int source : node.sources) {
         info.sources.push_back(universe.refs[source]);
       }
-      result.structures.push_back(std::move(info));
     }
   };
   emit_infos(objects, object_universe);
@@ -883,12 +966,13 @@ Result<IntegrationResult> IntegrateSeeded(
     std::vector<int> order;
     for (const Node& node : lattice.nodes) {
       for (int source : node.sources) {
-        StructureMapping mapping;
+        StructureMapping& mapping = result.mappings.emplace_back();
         mapping.source = universe.refs[source];
         mapping.kind = universe.kind;
         mapping.target = node.name;
         int p = universe.canonical[source];
         const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
+        mapping.attributes.reserve(attributes.size());
         order.resize(attributes.size());
         std::iota(order.begin(), order.end(), 0);
         std::sort(order.begin(), order.end(), [&](int x, int y) {
@@ -899,14 +983,14 @@ Result<IntegrationResult> IntegrateSeeded(
               table.entries[table.survivor[table.begin[p] + t]];
           mapping.attributes.push_back(AttributeMapping{
               a.attribute->name, lattice.nodes[a.target_node].name,
-              a.target_name});
+              a.TargetName()});
         }
-        result.mappings.push_back(std::move(mapping));
       }
     }
   };
   emit_mappings(objects, object_universe, object_attributes);
   emit_mappings(rels, relationship_universe, relationship_attributes);
+  lap(&IntegrateTimings::mappings_ns);
 
   return result;
 }

@@ -1,6 +1,7 @@
 #ifndef ECRINT_CORE_INTEGRATOR_H_
 #define ECRINT_CORE_INTEGRATOR_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -60,16 +61,28 @@ Status SeedForIntegration(AssertionStore& assertions,
                           const std::vector<std::string>& schemas,
                           const IntegrationOptions& options = {});
 
+// Wall time IntegrateSeeded spends in each of its sub-phases. The engine
+// charges these to its phase trace as integrate.<sub-phase>.
+struct IntegrateTimings {
+  int64_t lattice_ns = 0;     // universes, EQ merging, IS-A edges, D_ nodes
+  int64_t clusters_ns = 0;    // object and relationship clusters
+  int64_t attributes_ns = 0;  // derived-attribute merging and placement
+  int64_t assemble_ns = 0;    // the integrated schema's classes and sets
+  int64_t mappings_ns = 0;    // provenance and component mappings
+};
+
 // Phase 4 proper, over an already-seeded closure. `seeded` must hold the
 // user assertions plus the output of SeedForIntegration for the same
 // catalog/schemas/options; because path-consistency closure is confluent
 // (the fixpoint is the intersection of all derivable constraints, so it is
 // independent of assertion order), a cached seeded store extended by one
 // incremental Assert yields exactly the matrix a full replay would.
+// `timings`, when given, receives the sub-phase wall times of this call.
 Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& seeded,
-    const IntegrationOptions& options = {});
+    const IntegrationOptions& options = {},
+    IntegrateTimings* timings = nullptr);
 
 }  // namespace ecrint::core
 

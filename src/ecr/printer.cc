@@ -1,6 +1,8 @@
 #include "ecr/printer.h"
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace ecrint::ecr {
 
@@ -59,54 +61,95 @@ std::string ToDdl(const Schema& schema) {
 }
 
 std::string ToOutline(const Schema& schema) {
-  std::string out = "schema " + schema.name() + "\n";
+  std::vector<std::string> lines;
+  AppendOutlineLines(schema, lines);
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+void AppendOutlineLines(const Schema& schema,
+                        std::vector<std::string>& lines) {
+  auto append_origin = [](ObjectOrigin origin, std::string& line) {
+    if (origin == ObjectOrigin::kEquivalent) line += "  (equivalent)";
+    if (origin == ObjectOrigin::kDerived) line += "  (derived)";
+  };
+  auto append_attribute = [&lines](const Attribute& a) {
+    std::string domain = a.domain.ToString();
+    std::string& line = lines.emplace_back();
+    line.reserve(4 + a.name.size() + 2 + domain.size() + 4);
+    line += "    ";
+    line += a.name;
+    line += ": ";
+    line += domain;
+    if (a.is_key) line += " key";
+  };
+  // Each class takes a header, at most an is-a and an inherited line, and
+  // a line per attribute.
+  size_t estimate = 1;
+  for (ObjectId i = 0; i < schema.num_objects(); ++i) {
+    estimate += 3 + schema.object(i).attributes.size();
+  }
+  for (RelationshipId i = 0; i < schema.num_relationships(); ++i) {
+    estimate += 1 + schema.relationship(i).attributes.size();
+  }
+  lines.reserve(lines.size() + estimate);
+  lines.push_back("schema " + schema.name());
+  // Distinct attribute names in scope of one class, in inheritance order;
+  // reused across classes.
+  std::vector<std::string_view> in_scope;
   for (ObjectId i = 0; i < schema.num_objects(); ++i) {
     const ObjectClass& object = schema.object(i);
-    out += "  " + std::string(ObjectKindName(object.kind)) + " " +
-           object.name;
-    if (object.origin == ObjectOrigin::kEquivalent) out += "  (equivalent)";
-    if (object.origin == ObjectOrigin::kDerived) out += "  (derived)";
-    out += "\n";
+    std::string& header = lines.emplace_back("  ");
+    header += ObjectKindName(object.kind);
+    header += ' ';
+    header += object.name;
+    append_origin(object.origin, header);
     if (!object.parents.empty()) {
-      out += "    is-a:";
+      std::string& isa = lines.emplace_back("    is-a:");
       for (ObjectId parent : object.parents) {
-        out += " " + schema.object(parent).name;
+        isa += ' ';
+        isa += schema.object(parent).name;
       }
-      out += "\n";
     }
-    for (const Attribute& a : object.attributes) {
-      out += "    " + AttributeToString(a) + "\n";
-    }
+    for (const Attribute& a : object.attributes) append_attribute(a);
     // Show what a member actually carries, if inheritance adds anything.
-    std::vector<Attribute> all = schema.InheritedAttributes(i);
-    if (all.size() > object.attributes.size()) {
-      out += "    inherited:";
-      for (const Attribute& a : all) {
+    in_scope.clear();
+    schema.ForEachAttributeInScope(i, [&in_scope](const Attribute& a) {
+      for (std::string_view seen : in_scope) {
+        if (seen == a.name) return;
+      }
+      in_scope.push_back(a.name);
+    });
+    if (in_scope.size() > object.attributes.size()) {
+      std::string& inherited = lines.emplace_back("    inherited:");
+      for (std::string_view name : in_scope) {
         bool own = false;
         for (const Attribute& mine : object.attributes) {
-          own |= mine.name == a.name;
+          own |= mine.name == name;
         }
-        if (!own) out += " " + a.name;
+        if (own) continue;
+        inherited += ' ';
+        inherited += name;
       }
-      out += "\n";
     }
   }
   for (RelationshipId i = 0; i < schema.num_relationships(); ++i) {
     const RelationshipSet& rel = schema.relationship(i);
-    out += "  relationship " + rel.name;
-    if (rel.origin == ObjectOrigin::kEquivalent) out += "  (equivalent)";
-    if (rel.origin == ObjectOrigin::kDerived) out += "  (derived)";
-    out += " (";
+    std::string& line = lines.emplace_back("  relationship ");
+    line += rel.name;
+    append_origin(rel.origin, line);
+    line += " (";
     for (size_t j = 0; j < rel.participants.size(); ++j) {
-      if (j > 0) out += ", ";
-      out += ParticipantToString(schema, rel.participants[j]);
+      if (j > 0) line += ", ";
+      line += ParticipantToString(schema, rel.participants[j]);
     }
-    out += ")\n";
-    for (const Attribute& a : rel.attributes) {
-      out += "    " + AttributeToString(a) + "\n";
-    }
+    line += ')';
+    for (const Attribute& a : rel.attributes) append_attribute(a);
   }
-  return out;
 }
 
 std::string Summarize(const Schema& schema) {

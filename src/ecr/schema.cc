@@ -1,7 +1,6 @@
 #include "ecr/schema.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/strings.h"
 
@@ -95,21 +94,15 @@ Result<RelationshipId> Schema::AddRelationship(
 
 namespace {
 
-Status CheckAttributeFree(const std::vector<Attribute>& existing,
-                          const Attribute& attribute,
-                          const std::string& owner) {
-  for (const Attribute& a : existing) {
-    if (a.name == attribute.name) {
-      return AlreadyExistsError("attribute '" + attribute.name +
-                                "' already defined on '" + owner + "'");
-    }
-  }
-  return Status::Ok();
+Status AttributeExistsError(const std::string& attribute,
+                            const std::string& owner) {
+  return AlreadyExistsError("attribute '" + attribute +
+                            "' already defined on '" + owner + "'");
 }
 
 }  // namespace
 
-Status Schema::AddObjectAttribute(ObjectId id, const Attribute& attribute) {
+Status Schema::AddObjectAttribute(ObjectId id, Attribute attribute) {
   if (id < 0 || id >= num_objects()) {
     return NotFoundError("object id " + std::to_string(id));
   }
@@ -117,9 +110,10 @@ Status Schema::AddObjectAttribute(ObjectId id, const Attribute& attribute) {
     return InvalidArgumentError("'" + attribute.name +
                                 "' is not a valid attribute name");
   }
-  ECRINT_RETURN_IF_ERROR(CheckAttributeFree(InheritedAttributes(id), attribute,
-                                            objects_[id].name));
-  objects_[id].attributes.push_back(attribute);
+  if (HasAttributeInScope(id, attribute.name)) {
+    return AttributeExistsError(attribute.name, objects_[id].name);
+  }
+  objects_[id].attributes.push_back(std::move(attribute));
   return Status::Ok();
 }
 
@@ -132,9 +126,11 @@ Status Schema::AddRelationshipAttribute(RelationshipId id,
     return InvalidArgumentError("'" + attribute.name +
                                 "' is not a valid attribute name");
   }
-  ECRINT_RETURN_IF_ERROR(CheckAttributeFree(relationships_[id].attributes,
-                                            attribute,
-                                            relationships_[id].name));
+  for (const Attribute& a : relationships_[id].attributes) {
+    if (a.name == attribute.name) {
+      return AttributeExistsError(attribute.name, relationships_[id].name);
+    }
+  }
   relationships_[id].attributes.push_back(attribute);
   return Status::Ok();
 }
@@ -189,20 +185,24 @@ Result<RelationshipId> Schema::GetRelationship(const std::string& name) const {
 }
 
 std::vector<Attribute> Schema::InheritedAttributes(ObjectId id) const {
+  // Ancestors' attributes come first, so an inherited attribute hides a
+  // later one of the same name.
   std::vector<Attribute> out;
-  std::set<std::string> seen;
-  std::set<ObjectId> visited;
-  // Depth-first over parents so ancestors' attributes come first; a child's
-  // own attribute shadows an inherited one of the same name.
-  auto visit = [&](auto&& self, ObjectId node) -> void {
-    if (!visited.insert(node).second) return;
-    for (ObjectId parent : objects_[node].parents) self(self, parent);
-    for (const Attribute& a : objects_[node].attributes) {
-      if (seen.insert(a.name).second) out.push_back(a);
+  ForEachAttributeInScope(id, [&out](const Attribute& a) {
+    for (const Attribute& kept : out) {
+      if (kept.name == a.name) return;
     }
-  };
-  visit(visit, id);
+    out.push_back(a);
+  });
   return out;
+}
+
+bool Schema::HasAttributeInScope(ObjectId id, std::string_view name) const {
+  bool found = false;
+  ForEachAttributeInScope(id, [&](const Attribute& a) {
+    found = found || a.name == name;
+  });
+  return found;
 }
 
 std::vector<ObjectId> Schema::ChildrenOf(ObjectId id) const {

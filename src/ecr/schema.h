@@ -1,8 +1,9 @@
 #ifndef ECRINT_ECR_SCHEMA_H_
 #define ECRINT_ECR_SCHEMA_H_
 
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -108,7 +109,7 @@ class Schema {
 
   // Appends an attribute to an object class / relationship set. Rejects
   // duplicates against the object's own and inherited attribute names.
-  Status AddObjectAttribute(ObjectId id, const Attribute& attribute);
+  Status AddObjectAttribute(ObjectId id, Attribute attribute);
   Status AddRelationshipAttribute(RelationshipId id,
                                   const Attribute& attribute);
 
@@ -145,6 +146,24 @@ class Schema {
   // (transitive) parents, parents first, deduplicated by name.
   std::vector<Attribute> InheritedAttributes(ObjectId id) const;
 
+  // Calls fn(attribute) for every attribute of `id` and of its transitive
+  // parents, in InheritedAttributes order but without deduplicating by
+  // name: depth-first, each class once, parents before the class itself.
+  // Allocates nothing for hierarchies up to 32 classes.
+  template <typename Fn>
+  void ForEachAttributeInScope(ObjectId id, Fn&& fn) const {
+    VisitedClasses visited;
+    auto visit = [&](auto&& self, ObjectId node) -> void {
+      if (!visited.Insert(node)) return;
+      for (ObjectId parent : objects_[node].parents) self(self, parent);
+      for (const Attribute& a : objects_[node].attributes) fn(a);
+    };
+    visit(visit, id);
+  }
+
+  // Whether `id` declares or inherits an attribute named `name`.
+  bool HasAttributeInScope(ObjectId id, std::string_view name) const;
+
   // Own attribute count only (what the paper's attribute ratio counts).
   int NumOwnAttributes(ObjectId id) const {
     return static_cast<int>(objects_[id].attributes.size());
@@ -163,13 +182,39 @@ class Schema {
   std::vector<ObjectId> ObjectsOfKind(ObjectKind kind) const;
 
  private:
+  // The classes an ancestry walk has entered: a linear list, inline for
+  // the shallow hierarchies schemas have, spilling to the heap past that.
+  class VisitedClasses {
+   public:
+    bool Insert(ObjectId id) {
+      for (int i = 0; i < inline_count_; ++i) {
+        if (inline_[i] == id) return false;
+      }
+      for (ObjectId seen : spill_) {
+        if (seen == id) return false;
+      }
+      if (inline_count_ < kInline) {
+        inline_[inline_count_++] = id;
+      } else {
+        spill_.push_back(id);
+      }
+      return true;
+    }
+
+   private:
+    static constexpr int kInline = 32;
+    ObjectId inline_[kInline] = {};
+    int inline_count_ = 0;
+    std::vector<ObjectId> spill_;
+  };
+
   Status CheckNameFree(const std::string& name) const;
 
   std::string name_;
   std::vector<ObjectClass> objects_;
   std::vector<RelationshipSet> relationships_;
-  std::map<std::string, ObjectId> object_index_;
-  std::map<std::string, RelationshipId> relationship_index_;
+  std::unordered_map<std::string, ObjectId> object_index_;
+  std::unordered_map<std::string, RelationshipId> relationship_index_;
 };
 
 }  // namespace ecrint::ecr

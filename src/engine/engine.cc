@@ -400,6 +400,10 @@ Result<const core::IntegrationResult*> Engine::Integrate(
                      seeded_schema_generation_ == schema_generation_ &&
                      seeded_assertion_epoch_ == assertion_epoch_ &&
                      seeded_log_pos_ <= log_size;
+  // integrate.seed: extending or rebuilding the seeded closure; the
+  // IntegrateSeeded sub-phases are charged from its timings below.
+  common::Stopwatch seed_watch(common::RealClock());
+  core::IntegrateTimings timings;
   if (incremental) {
     const std::vector<core::Assertion>& log = assertions_.user_assertions();
     for (int i = seeded_log_pos_; i < log_size; ++i) {
@@ -419,8 +423,9 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   Result<core::IntegrationResult> result = InternalError("unreachable");
   if (incremental) {
     trace_.Count("integrate", "incremental_reuses");
+    trace_.Charge("integrate.seed", seed_watch.ElapsedNs());
     result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration);
+                                   options_.integration, &timings);
   } else {
     trace_.Count("integrate", "full_rebuilds");
     core::AssertionStore seeded = assertions_;
@@ -441,9 +446,15 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     seeded_schema_generation_ = schema_generation_;
     seeded_assertion_epoch_ = assertion_epoch_;
     seeded_log_pos_ = log_size;
+    trace_.Charge("integrate.seed", seed_watch.ElapsedNs());
     result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration);
+                                   options_.integration, &timings);
   }
+  trace_.Charge("integrate.lattice", timings.lattice_ns);
+  trace_.Charge("integrate.clusters", timings.clusters_ns);
+  trace_.Charge("integrate.attributes", timings.attributes_ns);
+  trace_.Charge("integrate.assemble", timings.assemble_ns);
+  trace_.Charge("integrate.mappings", timings.mappings_ns);
 
   if (!result.ok()) {
     integration_.reset();

@@ -39,6 +39,14 @@ class PhaseTrace {
     common::Stopwatch watch_;
   };
 
+  // Charges one call of `wall_ns` measured elsewhere, e.g. a sub-phase
+  // timed inside a library call.
+  void Charge(const std::string& phase, int64_t wall_ns) {
+    PhaseStats& stats = phases_[phase];
+    ++stats.calls;
+    stats.wall_ns += wall_ns;
+  }
+
   void Count(const std::string& phase, const std::string& counter,
              int64_t delta = 1) {
     phases_[phase].counters[counter] += delta;

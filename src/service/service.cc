@@ -25,6 +25,24 @@ ServiceResponse ErrorResponse(ServiceError error) {
   return response;
 }
 
+// An integrate that lists a schema twice would merge the schema with
+// itself. The service refuses it before the verb reaches the journal;
+// journal replay and checkpoint restore still accept such a verb, so a
+// data dir written before this check keeps opening.
+std::optional<ServiceError> RepeatedSchemaError(
+    const std::vector<std::string>& schemas) {
+  for (size_t i = 1; i < schemas.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (schemas[i] == schemas[j]) {
+        return ServiceError(ServiceErrorCode::kBadRequest,
+                            "integrate lists schema '" + schemas[i] +
+                                "' more than once");
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 // The refusal a read replica hands every client-facing mutation. An empty
 // `leader` is a fenced node: deposed at a higher epoch without learning
 // the new leader's address, so there is nothing to redirect to yet.
@@ -166,12 +184,13 @@ ServiceResponse TranslateBody(const EngineSnapshot& snapshot,
 }
 
 ServiceResponse OutlineBody(const EngineSnapshot& snapshot) {
-  Result<std::string> outline = SnapshotIntegratedOutline(snapshot);
+  Result<std::vector<std::string>> outline =
+      SnapshotIntegratedOutline(snapshot);
   if (!outline.ok()) {
     return ErrorResponse(ErrorFromStatus(outline.status()));
   }
   ServiceResponse response;
-  response.lines = ToLines(*outline);
+  response.lines = *std::move(outline);
   return response;
 }
 
@@ -278,6 +297,7 @@ IntegrationService::IntegrationService(ServiceConfig config)
   queue_depth_ = metrics_.GetGauge("queue.depth");
   epoch_gauge_ = metrics_.GetGauge("repl.epoch");
   batch_size_ = metrics_.GetHistogram("batch.size");
+  integrate_render_ = metrics_.GetHistogram("integrate.render");
   leader_addr_ = config_.leader_addr;
   // Scan the session table at most ~4x per idle timeout (capped at once a
   // second) instead of on every request.
@@ -765,8 +785,6 @@ Status IntegrationService::InstallReplicatedCheckpoint(
   }
   ECRINT_RETURN_IF_ERROR(fresh.AdoptReplayStamp(checkpoint.stamp));
   state->engine = std::move(fresh);
-  state->integrate_lines_version = -1;
-  state->integrate_lines.clear();
   if (state->durability != nullptr) {
     state->durability->set_epoch(state->epoch);
     Status installed = state->durability->InstallCheckpoint(bytes, seq);
@@ -789,8 +807,6 @@ Status IntegrationService::ResetReplicatedProject(const std::string& project) {
   engine::Engine fresh;
   engine::BeginReplay(fresh);
   state->engine = std::move(fresh);
-  state->integrate_lines_version = -1;
-  state->integrate_lines.clear();
   state->replica_applied_seq = 0;
   if (state->durability != nullptr) {
     Status reset = state->durability->Reset();
@@ -827,39 +843,37 @@ int IntegrationService::CheckpointProjects() {
 // ---------------------------------------------------------------------------
 
 ServiceResponse IntegrationService::IntegrateBody(
-    ProjectState& project, engine::Engine& engine,
-    std::vector<std::string> schemas) {
+    engine::Engine& engine, std::vector<std::string> schemas) {
   size_t before = engine.diagnostics().size();
   Result<const core::IntegrationResult*> result =
       engine.Integrate(std::move(schemas));
   if (!result.ok()) {
     return WriteFailure(engine, before, result.status());
   }
-  // Rendering the outline + derived lines dominates a cache-hit integrate;
-  // the integration_version tags exactly the result object the lines were
-  // rendered from, so a version match reuses them verbatim.
-  int64_t version = engine.Stamp().integration_version;
+  // The reply: the integrated schema's outline, then one line per derived
+  // attribute, rendered straight into the response.
+  common::Stopwatch watch(clock_);
   ServiceResponse response;
-  if (project.integrate_lines_version == version) {
-    response.lines = project.integrate_lines;
-    return response;
-  }
-  response.lines = ToLines(ecr::ToOutline((*result)->schema));
-  for (const core::DerivedAttributeInfo& info :
-       (*result)->derived_attributes) {
-    std::string line = "derived ";
+  ecr::AppendOutlineLines((*result)->schema, response.lines);
+  const std::vector<core::DerivedAttributeInfo>& derived =
+      (*result)->derived_attributes;
+  response.lines.reserve(response.lines.size() + derived.size());
+  for (const core::DerivedAttributeInfo& info : derived) {
+    std::string& line = response.lines.emplace_back("derived ");
     line += info.owner;
-    line += ".";
+    line += '.';
     line += info.name;
     line += " <-";
     for (const ecr::AttributePath& component : info.components) {
-      line += " ";
-      line += component.ToString();
+      line += ' ';
+      line += component.schema;
+      line += '.';
+      line += component.object;
+      line += '.';
+      line += component.attribute;
     }
-    response.lines.push_back(std::move(line));
   }
-  project.integrate_lines_version = version;
-  project.integrate_lines = response.lines;
+  integrate_render_->Record(watch.ElapsedNs() / 1000);
   return response;
 }
 
@@ -909,10 +923,14 @@ ServiceResponse IntegrationService::Integrate(
     int64_t deadline_ns) {
   return Admit(session_id, "integrate", deadline_ns,
                [&](ProjectState& project, int64_t deadline) {
+                 if (std::optional<ServiceError> repeated =
+                         RepeatedSchemaError(schemas)) {
+                   return ErrorResponse(*std::move(repeated));
+                 }
                  engine::ReplayVerb verb = engine::IntegrateVerb(schemas);
                  return RunWrite(project, deadline, &verb,
                                  [&](engine::Engine& engine) {
-                                   return IntegrateBody(project, engine,
+                                   return IntegrateBody(engine,
                                                         std::move(schemas));
                                  });
                });
@@ -1066,8 +1084,7 @@ ServiceResponse IntegrationService::ReadCommandBody(
 }
 
 ServiceResponse IntegrationService::WriteCommandBody(
-    ProjectState& project, engine::Engine& engine,
-    const ServiceCommand& command) {
+    engine::Engine& engine, const ServiceCommand& command) {
   switch (command.op) {
     case ServiceCommand::Op::kDefine:
       return DefineBody(engine, command.text);
@@ -1077,7 +1094,7 @@ ServiceResponse IntegrationService::WriteCommandBody(
       return AssertBody(engine, command.first, command.type_code,
                         command.second);
     case ServiceCommand::Op::kIntegrate:
-      return IntegrateBody(project, engine, command.schemas);
+      return IntegrateBody(engine, command.schemas);
     case ServiceCommand::Op::kExport:
       return ExportBody(engine);
     default:
@@ -1221,6 +1238,13 @@ void IntegrationService::RunWriteBatch(
       out[k] = ExportBody(project.engine);
       continue;
     }
+    if (command.op == ServiceCommand::Op::kIntegrate) {
+      if (std::optional<ServiceError> repeated =
+              RepeatedSchemaError(command.schemas)) {
+        out[k] = ErrorResponse(*std::move(repeated));
+        continue;
+      }
+    }
     if (!leads) {
       out[k] = ErrorResponse(NotLeaderError(leader));
       continue;
@@ -1239,7 +1263,7 @@ void IntegrationService::RunWriteBatch(
       }
       ++appended;
     }
-    out[k] = WriteCommandBody(project, project.engine, command);
+    out[k] = WriteCommandBody(project.engine, command);
     committed_pending.push_back(k);
   }
   if (project.durability != nullptr && appended > 0) {

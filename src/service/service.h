@@ -393,12 +393,6 @@ class IntegrationService {
     // refusal says so explicitly — an operator who frees space can clear
     // it, unlike a dying device. Guarded by write_mutex.
     bool degraded_disk_full = false;
-    // Integrate response cache: the outline + derived lines last rendered,
-    // valid while the engine's integration_version matches (a repeat
-    // integrate that cache-hits in the engine skips re-rendering too).
-    // Guarded by write_mutex.
-    int64_t integrate_lines_version = -1;
-    std::vector<std::string> integrate_lines;
     // Last leader sequence applied on a DISKLESS follower (durable
     // followers track it through the journal's next_seq instead). Guarded
     // by write_mutex.
@@ -464,10 +458,9 @@ class IntegrationService {
                      std::vector<ServiceResponse>& out);
 
   // Shared verb bodies (caller holds write_mutex / owns the snapshot).
-  ServiceResponse IntegrateBody(ProjectState& project, engine::Engine& engine,
+  ServiceResponse IntegrateBody(engine::Engine& engine,
                                 std::vector<std::string> schemas);
-  ServiceResponse WriteCommandBody(ProjectState& project,
-                                   engine::Engine& engine,
+  ServiceResponse WriteCommandBody(engine::Engine& engine,
                                    const ServiceCommand& command);
   ServiceResponse ReadCommandBody(const EngineSnapshot& snapshot,
                                   const ServiceCommand& command);
@@ -491,6 +484,7 @@ class IntegrationService {
   Gauge* queue_depth_ = nullptr;
   Gauge* epoch_gauge_ = nullptr;
   Histogram* batch_size_ = nullptr;
+  Histogram* integrate_render_ = nullptr;  // rendering an integrate reply
 
   // Dynamic role state (see the failover plane). Guarded by role_mutex_;
   // the node leads iff leader_addr_ is empty AND it is not fenced. Fenced

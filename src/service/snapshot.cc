@@ -48,17 +48,20 @@ Result<core::FanoutPlan> SnapshotTranslateToComponents(
   return core::TranslateToComponents(*snapshot.integration, request);
 }
 
-Result<std::string> SnapshotIntegratedOutline(
+Result<std::vector<std::string>> SnapshotIntegratedOutline(
     const EngineSnapshot& snapshot) {
   if (!snapshot.integration) {
     return FailedPreconditionError(
         "no integration result; run integrate first");
   }
-  return ecr::ToOutline(snapshot.integration->schema);
+  std::vector<std::string> lines;
+  ecr::AppendOutlineLines(snapshot.integration->schema, lines);
+  return lines;
 }
 
 std::shared_ptr<const EngineSnapshot> SnapshotManager::Current() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mutex_);
+  return current_;
 }
 
 int64_t SnapshotManager::generation() const {
@@ -72,8 +75,7 @@ bool SnapshotManager::Publish(engine::Engine& engine) {
   engine.Equivalence();
   engine::EngineStamp stamp = engine.Stamp();
 
-  std::shared_ptr<const EngineSnapshot> previous =
-      current_.load(std::memory_order_acquire);
+  std::shared_ptr<const EngineSnapshot> previous = Current();
   if (previous && previous->stamp == stamp) return false;
 
   auto next = std::make_shared<EngineSnapshot>();
@@ -101,7 +103,13 @@ bool SnapshotManager::Publish(engine::Engine& engine) {
   next->integration = engine.integration();
 
   next->generation = next_generation_.fetch_add(1, std::memory_order_relaxed);
-  current_.store(std::move(next), std::memory_order_release);
+  std::shared_ptr<const EngineSnapshot> published = std::move(next);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    current_.swap(published);
+  }
+  // `published` now holds the old snapshot; if this was its last reference
+  // it is destroyed here, outside the lock.
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,10 @@ Result<core::Request> SnapshotTranslate(const EngineSnapshot& snapshot,
 Result<core::FanoutPlan> SnapshotTranslateToComponents(
     const EngineSnapshot& snapshot, const core::Request& request);
 
-// Outline of the published integrated schema (kFailedPrecondition when the
-// project has not integrated yet).
-Result<std::string> SnapshotIntegratedOutline(const EngineSnapshot& snapshot);
+// Outline lines of the published integrated schema (kFailedPrecondition
+// when the project has not integrated yet).
+Result<std::vector<std::string>> SnapshotIntegratedOutline(
+    const EngineSnapshot& snapshot);
 
 // Publishes immutable snapshots of one engine. The writer (who must hold
 // the project's write serialization externally) calls Publish after every
@@ -90,10 +92,14 @@ class SnapshotManager {
   int64_t generation() const;
 
  private:
-  // Readers hit Current() on every read verb from every connection; an
-  // atomic shared_ptr keeps that path mutex-free (the writer side is
-  // already serialized externally).
-  std::atomic<std::shared_ptr<const EngineSnapshot>> current_;
+  // A mutex-guarded slot: Current() copies the pointer under the lock, and
+  // Publish swaps a new one in. libstdc++ 12's atomic<shared_ptr> is not
+  // lock-free either (it spins on a lock bit), and its relaxed unlock after
+  // a load left that read unordered with the next store, which
+  // ThreadSanitizer reports as a data race; a plain mutex states the same
+  // ordering in a form the tool can see. The lock covers only the copy.
+  mutable std::mutex mutex_;
+  std::shared_ptr<const EngineSnapshot> current_;  // guarded by mutex_
   std::atomic<int64_t> next_generation_{1};
 };
 

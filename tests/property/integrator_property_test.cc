@@ -329,12 +329,14 @@ void ExpectMergesFollowEquality(const IntegrationResult& result,
   }
 }
 
-// One step of a DDA session: an attribute equivalence or an assertion.
+// One step of a DDA session: an attribute equivalence, an assertion, or
+// (when `bound` is set) a Constrain of the assertion's pair to `bound`.
 struct Edit {
   bool is_equivalence = false;
   ecr::AttributePath first_attribute;
   ecr::AttributePath second_attribute;
   Assertion assertion;
+  RelationSet bound = kNoRelation;
 };
 
 // A generated workload widened so every construct phase 4 handles occurs:
@@ -441,6 +443,36 @@ void MakeSession(uint64_t seed, int schemas, DifferentialSession* out) {
                {}});
         }
       }
+      // Pairs left ambiguous: bounds of two or three relations on random
+      // object pairs. And random assertions between random objects, some
+      // of which contradict the closure only after propagation and are
+      // rolled back.
+      const RelationSet kEq = MaskOf(SetRelation::kEqual);
+      const RelationSet kSub = MaskOf(SetRelation::kSubset);
+      const RelationSet kSup = MaskOf(SetRelation::kSuperset);
+      const RelationSet kOvr = MaskOf(SetRelation::kOverlap);
+      const RelationSet kDsj = MaskOf(SetRelation::kDisjoint);
+      const RelationSet kBounds[] = {
+          static_cast<RelationSet>(kEq | kSub),
+          static_cast<RelationSet>(kOvr | kDsj),
+          static_cast<RelationSet>(kSub | kOvr | kDsj),
+          static_cast<RelationSet>(kSup | kOvr),
+          static_cast<RelationSet>(kEq | kSub | kSup)};
+      auto random_pair = [&]() -> std::pair<ObjectRef, ObjectRef> {
+        return {{names[s], a.object(rng() % a.num_objects()).name},
+                {names[t], b.object(rng() % b.num_objects()).name}};
+      };
+      for (int k = 0; k < 4; ++k) {
+        auto [first, second] = random_pair();
+        session.edits.push_back({false,
+                                 {},
+                                 {},
+                                 {first, second, AssertionType::kEquals},
+                                 kBounds[rng() % 5]});
+        auto [liar_first, liar_second] = random_pair();
+        session.edits.push_back(
+            {false, {}, {}, {liar_first, liar_second, kTypes[rng() % 5]}});
+      }
     }
   }
   std::shuffle(session.edits.begin(), session.edits.end(), rng);
@@ -487,9 +519,27 @@ TEST_P(IntegratorDifferentialTest, MatchesAllPairsReferenceAfterEveryEdit) {
   ASSERT_TRUE(SeedForIntegration(seeded, catalog, names).ok());
 
   int accepted = 0;
+  std::vector<Assertion> accepted_assertions;
   for (size_t step = 0; step < session.edits.size(); ++step) {
     const Edit& edit = session.edits[step];
-    if (edit.is_equivalence) {
+    if (step == session.edits.size() / 2 && !accepted_assertions.empty()) {
+      // Mid-session, a contradiction of an accepted assertion: its pair is
+      // pinned, so any other relation is refused and changes nothing.
+      const Assertion& kept = accepted_assertions[step %
+                                                  accepted_assertions.size()];
+      Assertion contradiction = kept;
+      contradiction.type = RelationOf(kept.type) == SetRelation::kEqual
+                               ? AssertionType::kMayBe
+                               : AssertionType::kEquals;
+      EXPECT_FALSE(seeded.Assert(contradiction).ok())
+          << contradiction.ToString();
+    }
+    if (edit.bound != kNoRelation) {
+      (void)seeded.Constrain(edit.assertion.first, edit.assertion.second,
+                             edit.bound);
+      (void)user.Constrain(edit.assertion.first, edit.assertion.second,
+                           edit.bound);
+    } else if (edit.is_equivalence) {
       (void)equivalence->DeclareEquivalent(edit.first_attribute,
                                            edit.second_attribute);
     } else {
@@ -497,6 +547,7 @@ TEST_P(IntegratorDifferentialTest, MatchesAllPairsReferenceAfterEveryEdit) {
       // was, as Screen 9 does.
       if (seeded.Assert(edit.assertion).ok()) {
         ++accepted;
+        accepted_assertions.push_back(edit.assertion);
         (void)user.Assert(edit.assertion);
       }
     }

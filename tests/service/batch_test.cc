@@ -435,5 +435,67 @@ TEST_F(BinaryBatchRouterTest, WriteInsideABatchIsVisibleToFollowingReads) {
   EXPECT_EQ(repeat.items[0].lines, decoded.items[2].lines);
 }
 
+// An integrate listing a schema twice is refused with BAD_REQUEST naming
+// the schema, before anything reaches the journal, whether it arrives as
+// a text line, a binary frame or a batch item.
+TEST(RepeatedSchemaTest, RefusedOnEveryFramingBeforeTheJournal) {
+  common::MemFs fs;
+  ServiceConfig config;
+  config.data_dir = "data";
+  config.fs = &fs;
+  IntegrationService service(config);
+  RequestRouter router(&service);
+  RouterSession text;
+  ASSERT_EQ(router.HandleLine("open uni", &text).substr(0, 2), "ok");
+  ASSERT_EQ(router.HandleLine(std::string("define ") + kInlineDdl, &text)
+                .substr(0, 2),
+            "ok");
+  Counter* appends = service.metrics().GetCounter("journal.appends");
+  const int64_t appends_before = appends->value();
+
+  std::string reply = router.HandleLine("integrate sc2 sc1 sc2", &text);
+  EXPECT_EQ(reply.rfind("err BAD_REQUEST", 0), 0u) << reply;
+  EXPECT_NE(reply.find("'sc2'"), std::string::npos) << reply;
+
+  RouterSession binary;
+  ASSERT_EQ(router.HandleLine("open uni", &binary).substr(0, 2), "ok");
+  ASSERT_EQ(router.HandleLine("proto 2", &binary).substr(0, 2), "ok");
+  auto exchange = [&](const std::string& frame) {
+    std::string_view body;
+    size_t consumed = 0;
+    std::string error;
+    EXPECT_EQ(ExtractFrame(frame, &body, &consumed, &error),
+              FrameStatus::kComplete);
+    std::string wire = router.HandleFrame(body, &binary);
+    std::string_view reply_body;
+    EXPECT_EQ(ExtractFrame(wire, &reply_body, &consumed, &error),
+              FrameStatus::kComplete);
+    Result<DecodedResponse> decoded = DecodeBinaryResponse(reply_body);
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return *decoded;
+  };
+  BinaryRequest repeated;
+  repeated.verb = WireVerb::kIntegrate;
+  repeated.args = {"sc1", "sc1"};
+  DecodedResponse single = exchange(EncodeBinaryRequest(repeated));
+  ASSERT_EQ(single.items.size(), 1u);
+  ASSERT_FALSE(single.items[0].ok());
+  EXPECT_EQ(single.items[0].error->code, ServiceErrorCode::kBadRequest);
+  EXPECT_NE(single.items[0].error->message.find("'sc1'"), std::string::npos);
+
+  BinaryRequest distinct;
+  distinct.verb = WireVerb::kIntegrate;
+  distinct.args = {"sc1", "sc2"};
+  DecodedResponse batch = exchange(EncodeBinaryBatch({repeated, distinct}));
+  ASSERT_EQ(batch.items.size(), 2u);
+  ASSERT_FALSE(batch.items[0].ok());
+  EXPECT_EQ(batch.items[0].error->code, ServiceErrorCode::kBadRequest);
+  EXPECT_EQ(batch.items[0].error->message, single.items[0].error->message);
+  EXPECT_TRUE(batch.items[1].ok());
+
+  // Only the distinct integrate was journaled.
+  EXPECT_EQ(appends->value(), appends_before + 1);
+}
+
 }  // namespace
 }  // namespace ecrint::service

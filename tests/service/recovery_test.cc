@@ -15,6 +15,7 @@
 
 #include "common/checksum.h"
 #include "common/fs.h"
+#include "ecr/printer.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
 #include "service/journal.h"
@@ -654,6 +655,64 @@ TEST(RecoveryTest, RecoveryMetricsAreCharged) {
             static_cast<int64_t>(ScriptVerbs().size()));
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             0);
+}
+
+// The service refuses `integrate sc1 sc1`, but a data dir written before it
+// did may hold that verb in its journal and `integrated sc1 sc1` in its
+// checkpoint. Recovery replays the one and restores the other, and a
+// follower installs such a checkpoint from its leader.
+TEST(RecoveryRepeatedSchemaTest, RepeatedSchemaVerbAndCheckpointStillOpen) {
+  const std::vector<std::string> twice = {"sc1", "sc1"};
+  common::MemFs fs;
+  {
+    engine::Engine engine;
+    RecoveryStats stats;
+    auto manager = RecoveryManager::Open(&fs, kProjectDir, DurabilityOptions{},
+                                         engine, &stats, /*metrics=*/nullptr);
+    ASSERT_TRUE(manager.ok()) << manager.status();
+    for (const engine::ReplayVerb& verb :
+         {engine::DefineVerb(kUniversityDdl), engine::IntegrateVerb(twice)}) {
+      ASSERT_TRUE((*manager)->LogVerb(verb).ok());
+    }
+  }
+
+  // Journal replay.
+  engine::Engine replayed;
+  RecoveryStats replay_stats;
+  auto reopened = RecoveryManager::Open(&fs, kProjectDir, DurabilityOptions{},
+                                        replayed, &replay_stats, nullptr);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(replay_stats.replayed_records, 2);
+  ASSERT_TRUE(replayed.IntegrationCurrent());
+  EXPECT_EQ(replayed.integrated_schemas(), twice);
+  const std::string outline = ecr::ToOutline(replayed.integration()->schema);
+
+  // Checkpoint restore.
+  ASSERT_TRUE((*reopened)->WriteCheckpoint(replayed).ok());
+  Result<std::string> bytes = fs.ReadFileToString(kCheckpointPath);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  engine::Engine restored;
+  RecoveryStats restore_stats;
+  auto restarted = RecoveryManager::Open(&fs, kProjectDir, DurabilityOptions{},
+                                         restored, &restore_stats, nullptr);
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  EXPECT_TRUE(restore_stats.restored_checkpoint);
+  ASSERT_TRUE(restored.IntegrationCurrent());
+  EXPECT_EQ(restored.integrated_schemas(), twice);
+  EXPECT_EQ(ecr::ToOutline(restored.integration()->schema), outline);
+
+  // A follower installing the same checkpoint.
+  IntegrationService follower{ServiceConfig{}};
+  Result<CheckpointView> view = ParseCheckpointAny(*bytes);
+  ASSERT_TRUE(view.ok()) << view.status();
+  ASSERT_TRUE(
+      follower.InstallReplicatedCheckpoint("uni", *bytes, view->seq).ok());
+  std::string session = follower.OpenSession("uni");
+  ServiceCommand outline_read;
+  outline_read.op = ServiceCommand::Op::kOutline;
+  ServiceResponse response = follower.Execute(session, outline_read);
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE(response.lines.empty());
 }
 
 }  // namespace

@@ -139,7 +139,7 @@ TEST(SnapshotReadsTest, OutlineRequiresIntegration) {
   engine::Engine engine = MakeEngine();
   SnapshotManager manager;
   ASSERT_TRUE(manager.Publish(engine));
-  Result<std::string> outline =
+  Result<std::vector<std::string>> outline =
       SnapshotIntegratedOutline(*manager.Current());
   EXPECT_EQ(outline.status().code(), StatusCode::kFailedPrecondition);
 }

@@ -20,11 +20,13 @@
 #            diskless) over real sockets: snapshot bootstrap, identical
 #            exports everywhere, NOT_LEADER redirects, kill -9 of the
 #            leader mid-stream, and reconvergence after its restart.
-#   bench    Release build of perf_closure and perf_engine; fails when
-#            BM_AssertChain/64 (BENCH_resemblance.json) or
+#   bench    Release build of perf_closure, perf_engine and perf_service;
+#            fails when BM_AssertChain/64 (BENCH_resemblance.json) or
 #            BM_EngineIncrementalEdit/250 (BENCH_engine.json) runs over 2x
 #            its recorded number; also sanity-checks the mixed-throughput
-#            number in BENCH_service.json against the recorded Release stamp.
+#            number in BENCH_service.json against the recorded Release stamp
+#            and runs the service loadgen smoke. Every gate runs and prints
+#            PASS or FAIL; the suite fails after the last one if any failed.
 #   protocol-compat
 #            ASan build of the wire surfaces, then cross-version protocol
 #            checks: the golden v1 transcript + fuzz/batch/cache suites, the
@@ -1255,23 +1257,56 @@ PY
 run_bench_suite() {
   local build_dir="${repo_root}/build-ci-bench"
   echo "=== bench: configure + build (Release)" >&2
-  configure_and_build "${build_dir}" perf_closure perf_engine -- \
-    -DCMAKE_BUILD_TYPE=Release
-  echo "=== bench: BM_AssertChain sweep" >&2
-  local report="${build_dir}/bench_smoke.json"
-  "${build_dir}/bench/perf_closure" \
-    --benchmark_filter='BM_AssertChain' \
-    --benchmark_format=json >"${report}"
-  check_bench_regression "${report}" "${repo_root}/BENCH_resemblance.json" \
-    "BM_AssertChain/64"
-  echo "=== bench: engine incremental edit" >&2
-  local engine_report="${build_dir}/bench_engine.json"
-  "${build_dir}/bench/perf_engine" \
-    --benchmark_filter='BM_EngineIncrementalEdit/250' \
-    --benchmark_format=json >"${engine_report}"
-  check_bench_regression "${engine_report}" "${repo_root}/BENCH_engine.json" \
-    "BM_EngineIncrementalEdit/250"
-  echo "=== bench: service mixed-throughput gate" >&2
+  configure_and_build "${build_dir}" perf_closure perf_engine perf_service \
+    -- -DCMAKE_BUILD_TYPE=Release
+  # Every gate runs and prints its verdict; the suite fails at the end if
+  # any gate failed, so one failing gate does not hide the others.
+  local failed=()
+  run_gate() {
+    local gate="$1"
+    shift
+    echo "=== bench: ${gate}" >&2
+    if "$@"; then
+      echo "bench gate PASS: ${gate}" >&2
+    else
+      echo "bench gate FAIL: ${gate}" >&2
+      failed+=("${gate}")
+    fi
+  }
+  run_gate "BM_AssertChain/64" bench_gate_assert_chain "${build_dir}"
+  run_gate "BM_EngineIncrementalEdit/250" bench_gate_engine_edit \
+    "${build_dir}"
+  run_gate "service mixed throughput" bench_gate_service_mixed
+  run_gate "service loadgen smoke" bench_gate_loadgen_smoke "${build_dir}"
+  if [[ ${#failed[@]} -gt 0 ]]; then
+    echo "=== bench: ${#failed[@]} gate(s) failed: ${failed[*]}" >&2
+    return 1
+  fi
+  cleanup "${build_dir}"
+}
+
+# The bench suite's gates. Each returns non-zero when its check fails.
+bench_gate_assert_chain() {
+  local report="$1/bench_smoke.json"
+  "$1/bench/perf_closure" --benchmark_filter='BM_AssertChain' \
+    --benchmark_format=json >"${report}" &&
+    check_bench_regression "${report}" "${repo_root}/BENCH_resemblance.json" \
+      "BM_AssertChain/64"
+}
+
+bench_gate_engine_edit() {
+  local report="$1/bench_engine.json"
+  "$1/bench/perf_engine" --benchmark_filter='BM_EngineIncrementalEdit/250' \
+    --benchmark_format=json >"${report}" &&
+    check_bench_regression "${report}" "${repo_root}/BENCH_engine.json" \
+      "BM_EngineIncrementalEdit/250"
+}
+
+bench_gate_loadgen_smoke() {
+  "$1/bench/perf_service" --smoke >/dev/null
+}
+
+bench_gate_service_mixed() {
   # The recorded service numbers must come from a Release build, and both
   # binary planes must clearly beat the plain text plane. The floor is a
   # relative multiple (host-portable) chosen well below the recorded gap:
@@ -1336,10 +1371,6 @@ if not cs.get("server_exit_ok"):
     sys.exit("bench gate: the bench server did not drain cleanly under the "
              "10k-connection SIGTERM")
 PY
-  echo "=== bench: service loadgen smoke" >&2
-  cmake --build "${build_dir}" -j "${jobs}" --target perf_service
-  "${build_dir}/bench/perf_service" --smoke >/dev/null
-  cleanup "${build_dir}"
 }
 
 for suite in "${suites[@]}"; do
