@@ -109,23 +109,53 @@ TEST_P(DdlParserErrorTest, RejectsMalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, DdlParserErrorTest,
     ::testing::Values(
-        BadDdlCase{"empty", ""},
-        BadDdlCase{"no_schema_kw", "entity X;"},
         BadDdlCase{"unterminated_schema", "schema s { entity X;"},
         BadDdlCase{"unknown_structure", "schema s { table X; }"},
-        BadDdlCase{"missing_colon", "schema s { entity X { Name char; } }"},
-        BadDdlCase{"bad_domain", "schema s { entity X { N: varchar; } }"},
         BadDdlCase{"unterminated_attr",
                    "schema s { entity X { N: char } }"},
-        BadDdlCase{"bad_cardinality",
-                   "schema s { entity X; entity Y; "
-                   "relationship R (X [n,1], Y [0,1]); }"},
-        BadDdlCase{"stray_char", "schema s @ {}"},
         BadDdlCase{"two_schemas_for_single_parse",
                    "schema a { entity X; } schema b { entity Y; }"}),
     [](const ::testing::TestParamInfo<BadDdlCase>& info) {
       return info.param.label;
     });
+
+// Rejects `ddl` as a parse error whose message is exactly `message`.
+void ExpectParseError(const char* ddl, const std::string& message) {
+  Result<Schema> schema = ParseSchema(ddl);
+  ASSERT_FALSE(schema.ok()) << ddl;
+  EXPECT_EQ(schema.status().code(), StatusCode::kParseError)
+      << schema.status();
+  EXPECT_EQ(schema.status().message(), message);
+}
+
+TEST(DdlParserTest, RejectsEmptyInput) {
+  ExpectParseError("", "input defines no schema");
+}
+
+TEST(DdlParserTest, RejectsMissingSchemaKeyword) {
+  ExpectParseError("entity X;",
+                   "line 1: expected keyword 'schema' (near 'entity')");
+}
+
+TEST(DdlParserTest, RejectsAttributeWithoutColon) {
+  ExpectParseError("schema s { entity X { Name char; } }",
+                   "line 1: expected ':' (near 'char')");
+}
+
+TEST(DdlParserTest, RejectsUnknownDomain) {
+  ExpectParseError("schema s { entity X { N: varchar; } }",
+                   "unknown domain 'varchar'");
+}
+
+TEST(DdlParserTest, RejectsStrayCharacter) {
+  ExpectParseError("schema s @ {}", "line 1: unexpected character '@'");
+}
+
+TEST(DdlParserTest, RejectsBadCardinality) {
+  ExpectParseError(
+      "schema s { entity X; entity Y; relationship R (X [n,1], Y [0,1]); }",
+      "line 1: expected cardinality (near 'n')");
+}
 
 TEST(DdlParserTest, SemanticErrorsKeepTheirCodes) {
   // Unknown parent is NotFound, not ParseError.
