@@ -181,6 +181,18 @@ constexpr struct {
     {WireVerb::kDemote, "demote"},
 };
 
+// The refusal that replaces a reply of `bytes` its peer could not accept:
+// "reply of <bytes> bytes <overflow> the <limit>-byte limit".
+ServiceResponse ReplyTooLarge(size_t bytes, const char* overflow,
+                              size_t limit) {
+  ServiceResponse response;
+  response.error = {ServiceErrorCode::kBadRequest,
+                    "reply of " + std::to_string(bytes) + " bytes " +
+                        overflow + " the " + std::to_string(limit) +
+                        "-byte limit"};
+  return response;
+}
+
 // Frames `body` with its varint length prefix.
 std::string FrameBody(std::string body) {
   std::string out;
@@ -359,13 +371,48 @@ std::string EncodeBinaryResponse(const ServiceResponse& response) {
   return FrameBody(std::move(body));
 }
 
+std::string EncodeReply(const ServiceResponse& response,
+                        int protocol_version) {
+  if (protocol_version == kProtocolBinaryVersion) {
+    std::string body;
+    body.push_back(static_cast<char>(kFrameResponse));
+    EncodeResponsePayload(response, body);
+    if (body.size() > kMaxBinaryFrameBytes) {
+      const size_t bytes = body.size();
+      body.resize(1);
+      EncodeResponsePayload(
+          ReplyTooLarge(bytes, "exceeds", kMaxBinaryFrameBytes), body);
+    }
+    return FrameBody(std::move(body));
+  }
+  std::string wire = FormatResponse(response);
+  if (wire.size() > kMaxResponseFrameBytes) {
+    wire = FormatResponse(
+        ReplyTooLarge(wire.size(), "exceeds", kMaxResponseFrameBytes));
+  }
+  return wire;
+}
+
 std::string EncodeBinaryBatchResponse(
     const std::vector<ServiceResponse>& responses) {
+  // Bound on one encoded ReplyTooLarge item; keeping this much room per
+  // item still to come means the refusals never carry the body past the
+  // cap themselves.
+  constexpr size_t kRefusalBytes = 128;
   std::string body;
   body.push_back(static_cast<char>(kFrameBatchResponse));
   PutVarint(body, responses.size());
-  for (const ServiceResponse& response : responses) {
-    EncodeResponsePayload(response, body);
+  for (size_t i = 0; i < responses.size(); ++i) {
+    const size_t start = body.size();
+    EncodeResponsePayload(responses[i], body);
+    const size_t room = (responses.size() - 1 - i) * kRefusalBytes;
+    if (body.size() + room > kMaxBinaryFrameBytes) {
+      const size_t bytes = body.size() - start;
+      body.resize(start);
+      EncodeResponsePayload(ReplyTooLarge(bytes, "carries the batch frame past",
+                                          kMaxBinaryFrameBytes),
+                            body);
+    }
   }
   return FrameBody(std::move(body));
 }

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "service/service.h"
+#include "service/response.h"
 
 namespace ecrint::service {
 
@@ -65,6 +65,14 @@ std::vector<std::string> Tokenize(std::string_view line);
 // Renders a ServiceResponse in wire framing (status line, escaped and
 // dot-stuffed payload lines, "." terminator). Every line ends with '\n'.
 std::string FormatResponse(const ServiceResponse& response);
+
+// Frames one reply for the server to send: FormatResponse for
+// kProtocolTextVersion, EncodeBinaryResponse for kProtocolBinaryVersion.
+// A reply its peer would refuse (text over kMaxResponseFrameBytes, a frame
+// body over kMaxBinaryFrameBytes) is replaced by BAD_REQUEST naming its
+// size and the limit. Every single reply the server sends is framed here.
+std::string EncodeReply(const ServiceResponse& response,
+                        int protocol_version);
 
 // Parses one framed response back into a ServiceResponse — the client-side
 // inverse of FormatResponse, used by tests and the loadgen. `wire` must
@@ -186,6 +194,9 @@ struct BinaryRequest {
 std::string EncodeBinaryRequest(const BinaryRequest& request);
 std::string EncodeBinaryBatch(const std::vector<BinaryRequest>& requests);
 std::string EncodeBinaryResponse(const ServiceResponse& response);
+// A batch frame whose body would pass kMaxBinaryFrameBytes instead carries
+// BAD_REQUEST, naming the item's size and the limit, for each item that
+// would carry it past (room is kept for the refusals after it).
 std::string EncodeBinaryBatchResponse(
     const std::vector<ServiceResponse>& responses);
 

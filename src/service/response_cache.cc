@@ -1,7 +1,5 @@
 #include "service/response_cache.h"
 
-#include "service/protocol.h"
-
 namespace ecrint::service {
 
 std::string ResponseCache::Key(std::string_view verb,
@@ -42,9 +40,9 @@ void ResponseCache::Touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_position);
 }
 
-std::optional<ResponseCache::Hit> ResponseCache::Lookup(
+std::optional<ServiceResponse> ResponseCache::Lookup(
     const std::string& key, const EngineSnapshot& snapshot,
-    int protocol_version) {
+    std::string* wire, int protocol_version) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
@@ -55,34 +53,13 @@ std::optional<ResponseCache::Hit> ResponseCache::Lookup(
   }
   Entry& entry = it->second;
   Touch(entry);
-  Hit hit;
-  hit.response = entry.response;
-  if (protocol_version == kProtocolBinaryVersion) {
-    if (entry.wire_binary.empty()) {
-      entry.wire_binary = EncodeBinaryResponse(entry.response);
-    }
-    hit.wire = entry.wire_binary;
-  } else {
-    if (entry.wire_text.empty()) {
-      entry.wire_text = FormatResponse(entry.response);
-    }
-    hit.wire = entry.wire_text;
-  }
-  return hit;
-}
-
-std::optional<ServiceResponse> ResponseCache::LookupResponse(
-    const std::string& key, const EngineSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  if (!Valid(it->second, snapshot)) {
-    lru_.erase(it->second.lru_position);
-    entries_.erase(it);
-    return std::nullopt;
-  }
-  Touch(it->second);
-  return it->second.response;
+  if (wire == nullptr) return entry.response;
+  std::string& frame = protocol_version == kProtocolBinaryVersion
+                           ? entry.wire_binary
+                           : entry.wire_text;
+  if (frame.empty()) frame = EncodeReply(entry.response, protocol_version);
+  *wire = frame;
+  return ServiceResponse{};
 }
 
 void ResponseCache::Insert(const std::string& key,

@@ -12,32 +12,31 @@
 #include <vector>
 
 #include "service/metrics.h"
-#include "service/service.h"
+#include "service/protocol.h"
+#include "service/response.h"
 #include "service/snapshot.h"
 
 namespace ecrint::service {
 
-// A cache of pre-serialized read-verb responses (rank / suggest / outline /
-// translate), keyed by the request (verb + args) and validated against the
-// snapshot the reply would be computed from. Entries remember which
-// snapshot PARTS their verb read — as weak_ptrs to the part objects — and
-// a lookup hits only when the candidate snapshot still carries those exact
-// objects. Copy-on-write publication makes this both precise and safe:
+// A project's reply memo: read-verb responses (rank / suggest / outline /
+// translate), keyed by the parsed command and validated against the
+// snapshot the reply would be computed from. The service keeps one per
+// project. Entries remember which snapshot PARTS their verb read — as
+// weak_ptrs to the part objects — and a lookup hits only when the
+// candidate snapshot still carries those exact objects. Copy-on-write
+// publication makes this both precise and safe:
 //
 //  - a republish that did not touch the verb's parts (e.g. an assert run
-//    that deduplicated to nothing) reuses the part pointers, so the cache
+//    that deduplicated to nothing) reuses the part pointers, so the memo
 //    stays warm across publishes that cannot change the answer;
 //  - a write that did touch a part allocates a fresh object, so every
 //    dependent entry mismatches and is evicted on its next lookup;
 //  - the comparison is ABA-safe: weak_ptr::lock can only resurrect the
-//    original object, never a new allocation at a recycled address;
-//  - keys deliberately omit the project: two projects that collide on a
-//    key cannot share part objects, so the worst case is eviction, never
-//    a cross-project stale serve.
+//    original object, never a new allocation at a recycled address.
 //
-// The serialized wire bytes are built per protocol version on first use
-// (text framing and binary framing differ), so a hit costs one string copy
-// and zero formatting work.
+// The wire frame is built per protocol version on first use (text framing
+// and binary framing differ), so a single-request hit costs one copy of
+// the frame and no formatting work.
 class ResponseCache {
  public:
   // Bound on resident entries; insertion past the cap evicts the least
@@ -51,29 +50,21 @@ class ResponseCache {
   static std::string Key(std::string_view verb,
                          const std::vector<std::string>& args);
 
-  struct Hit {
-    ServiceResponse response;
-    std::string wire;  // complete frame for the requested protocol version
-  };
-
-  // Returns the cached reply iff the entry's recorded parts are exactly
-  // the parts of `snapshot`. A present-but-stale entry is erased.
-  // `protocol_version` selects the wire framing (kProtocolTextVersion or
-  // kProtocolBinaryVersion).
-  std::optional<Hit> Lookup(const std::string& key,
-                            const EngineSnapshot& snapshot,
-                            int protocol_version);
-
-  // Lookup variant for batch items: same validation, but returns only the
-  // response body. Batch replies are framed per item by the batch encoder,
-  // so building a standalone wire frame here would be wasted work.
-  std::optional<ServiceResponse> LookupResponse(const std::string& key,
-                                                const EngineSnapshot& snapshot);
+  // A hit when the entry's recorded parts are exactly the parts of
+  // `snapshot`; a present-but-stale entry is erased. With `wire`, a hit
+  // fills it with the reply framed for `protocol_version` (EncodeReply,
+  // built once per entry) and returns an empty response: no line is
+  // copied. Without, a hit returns a copy of the response, for a caller
+  // that frames it itself (a batch item).
+  std::optional<ServiceResponse> Lookup(
+      const std::string& key, const EngineSnapshot& snapshot,
+      std::string* wire = nullptr,
+      int protocol_version = kProtocolTextVersion);
 
   // Records a response computed from `snapshot`. Callers should only
-  // insert ok() responses: keys omit the session, so session-specific
-  // errors (and transient OVERLOADED/TIMEOUT failures) must never be
-  // cached or they could be replayed to an unrelated caller.
+  // insert ok() responses: admission errors (OVERLOADED, TIMEOUT) are
+  // transient and session errors name one session, so neither may be
+  // replayed to another request.
   void Insert(const std::string& key, const EngineSnapshot& snapshot,
               const ServiceResponse& response);
 
@@ -81,7 +72,7 @@ class ResponseCache {
   size_t size() const;
 
   // Counts capacity evictions (stale-entry erasure is not an eviction).
-  // Null disables counting; the router wires "cache.evictions" here.
+  // Null disables counting; the service wires "cache.evictions" here.
   void SetEvictionCounter(Counter* evictions);
 
  private:

@@ -4,12 +4,10 @@
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace ecrint::service {
 
@@ -38,11 +36,18 @@ Result<core::ObjectRef> ParseRef(const std::string& token) {
   return core::ObjectRef{parts[0], parts[1]};
 }
 
+// A value outside `int` is refused, not narrowed: `assert a 4294967297 b`
+// must not journal code 1, nor `deadline 4294967296` set a 0 ms deadline.
 Result<int> ParseInt(const std::string& token) {
+  errno = 0;
   char* end = nullptr;
   long value = std::strtol(token.c_str(), &end, 10);
   if (end == token.c_str() || *end != '\0') {
     return ParseError("expected integer, got '" + token + "'");
+  }
+  if (errno == ERANGE || value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return ParseError("integer out of range, got '" + token + "'");
   }
   return static_cast<int>(value);
 }
@@ -66,12 +71,7 @@ std::string TailAfterVerb(const std::string& line) {
   return std::string(StripWhitespace(rest));
 }
 
-// Verbs whose responses are pure functions of the published snapshot and
-// therefore eligible for the response cache.
-bool IsCacheableVerb(WireVerb verb) {
-  return verb == WireVerb::kRank || verb == WireVerb::kSuggest ||
-         verb == WireVerb::kTranslate || verb == WireVerb::kOutline;
-}
+constexpr const char* kNoSession = "no session; send: open [project]";
 
 bool IsSessionVerb(WireVerb verb) {
   return verb == WireVerb::kOpen || verb == WireVerb::kClose ||
@@ -152,10 +152,10 @@ ServiceResponse DemoteVerb(IntegrationService* service,
   return response;
 }
 
-// Parses one binary request into a protocol-independent command. Returns
-// the error response on a malformed request, nullopt on success. Binary
-// arguments are raw bytes — no unescaping (define's DDL travels verbatim
-// as a single argument).
+// Parses one request (from either framing) into a protocol-independent
+// command. Returns the error response on a malformed request, nullopt on
+// success. Arguments are raw bytes: a text line unescaped define's DDL
+// before it got here, and a binary frame carries it verbatim.
 std::optional<ServiceResponse> BuildCommand(const BinaryRequest& request,
                                             ServiceCommand* out) {
   const std::vector<std::string>& args = request.args;
@@ -290,202 +290,152 @@ std::optional<ServiceResponse> BuildCommand(const BinaryRequest& request,
 
 std::string RequestRouter::HandleLine(const std::string& line,
                                       RouterSession* session) {
-  // The response-cache fast path: cacheable read verb, bound session,
-  // valid line. The snapshot is captured BEFORE execution and the entry
-  // tagged with its parts, so a concurrent write can only make the entry
-  // immediately stale (evicted next lookup) — never serve a stale body.
-  if (!session->session_id.empty() && ValidateRequestLine(line).ok()) {
-    std::vector<std::string> tokens = Tokenize(line);
-    if (!tokens.empty()) {
-      std::optional<WireVerb> verb = WireVerbFromName(tokens[0]);
-      if (verb.has_value() && IsCacheableVerb(*verb)) {
-        std::shared_ptr<const EngineSnapshot> snapshot =
-            service_->CurrentSnapshot(session->session_id);
-        if (snapshot) {
-          std::string key = ResponseCache::Key(
-              tokens[0],
-              std::vector<std::string>(tokens.begin() + 1, tokens.end()));
-          if (std::optional<ResponseCache::Hit> hit =
-                  cache_.Lookup(key, *snapshot, kProtocolTextVersion)) {
-            service_->NoteCacheHit(session->session_id, tokens[0].c_str());
-            return hit->wire;
-          }
-          ServiceResponse response = Dispatch(line, session);
-          std::string wire = FormatResponse(response);
-          // Only successful responses are cached: admission errors
-          // (OVERLOADED, TIMEOUT) are transient and session errors name a
-          // specific session, so neither may outlive this request.
-          if (response.ok()) cache_.Insert(key, *snapshot, response);
-          return wire;
-        }
-      }
-    }
+  // Size and byte-content limits come first: an oversized or NUL-bearing
+  // line is refused before any token of it is interpreted.
+  if (Status valid = ValidateRequestLine(line); !valid.ok()) {
+    return EncodeReply(BadRequest(valid.message()), kProtocolTextVersion);
   }
-  return FormatResponse(Dispatch(line, session));
-}
-
-void RequestRouter::HandleLineAsync(std::string line, RouterSession* session,
-                                    std::function<void(std::string)> done) {
-  common::ThreadPool::Shared().Post(
-      [this, line = std::move(line), session, done = std::move(done)] {
-        done(HandleLine(line, session));
-      });
-}
-
-void RequestRouter::HandleFrameAsync(std::string body, RouterSession* session,
-                                     std::function<void(std::string)> done) {
-  common::ThreadPool::Shared().Post(
-      [this, body = std::move(body), session, done = std::move(done)] {
-        done(HandleFrame(body, session));
-      });
-}
-
-std::optional<ServiceResponse> RequestRouter::HandleSessionVerb(
-    WireVerb verb, const std::vector<std::string>& args,
-    RouterSession* session) {
-  switch (verb) {
-    case WireVerb::kOpen: {
-      if (args.size() > 1) return BadRequest("usage: open [project]");
-      std::string project = args.size() == 1 ? args[0] : "default";
-      session->session_id = service_->OpenSession(project);
-      ServiceResponse response;
-      response.lines.push_back(session->session_id);
-      return response;
-    }
-    case WireVerb::kClose: {
-      if (session->session_id.empty()) {
-        return BadRequest("no session; send: open [project]");
-      }
-      Status status = service_->CloseSession(session->session_id);
-      session->session_id.clear();
-      if (!status.ok()) return BadRequest(status.ToString());
-      return ServiceResponse{};
-    }
-    case WireVerb::kDeadline: {
-      if (args.size() != 1) return BadRequest("usage: deadline <ms>|default");
-      if (session->session_id.empty()) {
-        return BadRequest("no session; send: open [project]");
-      }
-      if (args[0] == "default") {
-        session->deadline_override_ns.reset();
+  std::vector<std::string> tokens = Tokenize(line);
+  if (tokens.empty()) {
+    return EncodeReply(BadRequest("empty request"), kProtocolTextVersion);
+  }
+  // The line becomes the request a binary frame would carry: its verb and
+  // raw arguments.
+  BinaryRequest request;
+  std::string refusal;
+  if (std::optional<WireVerb> verb = WireVerbFromName(tokens[0])) {
+    request.verb = *verb;
+    if (*verb == WireVerb::kDefine) {
+      // define's one argument is the rest of the line, escaped so the DDL
+      // keeps its newlines and spaces.
+      std::string tail = TailAfterVerb(line);
+      Result<std::string> ddl = UnescapeField(tail);
+      if (tail.empty()) {
+        refusal = "usage: define <escaped-ddl>";
+      } else if (!ddl.ok()) {
+        refusal = ddl.status().ToString();
       } else {
-        Result<int> ms = ParseInt(args[0]);
-        if (!ms.ok()) return BadRequest(ms.status().ToString());
-        if (*ms < 0) return BadRequest("deadline must be >= 0 ms");
-        session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
+        request.args.push_back(*std::move(ddl));
       }
-      return ServiceResponse{};
+    } else {
+      request.args.assign(std::make_move_iterator(tokens.begin() + 1),
+                          std::make_move_iterator(tokens.end()));
     }
-    case WireVerb::kProto: {
-      if (args.size() != 1) return BadRequest("usage: proto <1|2>");
-      Result<int> version = ParseInt(args[0]);
-      if (!version.ok()) return BadRequest(version.status().ToString());
-      if (*version != kProtocolTextVersion &&
-          *version != kProtocolBinaryVersion) {
-        return BadRequest("unsupported protocol version '" + args[0] + "'");
-      }
-      session->protocol_version = *version;
-      ServiceResponse response;
-      response.lines.push_back("proto " + std::to_string(*version));
-      return response;
-    }
-    default:
-      return std::nullopt;
+  } else {
+    request.verb = static_cast<WireVerb>(0);  // no verb has code 0
+    refusal = "unknown verb '" + tokens[0] + "'";
   }
-}
-
-ServiceResponse RequestRouter::ExecuteBinary(const BinaryRequest& request,
-                                             RouterSession* session,
-                                             std::string* wire) {
-  ServiceCommand command;
-  if (std::optional<ServiceResponse> error = BuildCommand(request, &command)) {
-    return *std::move(error);
-  }
-  command.deadline_ns =
-      session->deadline_override_ns.has_value()
-          ? service_->clock()->NowNs() + *session->deadline_override_ns
-          : 0;
-  if (IsCacheableVerb(request.verb)) {
-    std::shared_ptr<const EngineSnapshot> snapshot =
-        service_->CurrentSnapshot(session->session_id);
-    if (snapshot) {
-      const char* name = WireVerbName(request.verb);
-      std::string key = ResponseCache::Key(name, request.args);
-      if (std::optional<ResponseCache::Hit> hit =
-              cache_.Lookup(key, *snapshot, session->protocol_version)) {
-        service_->NoteCacheHit(session->session_id, name);
-        *wire = std::move(hit->wire);
-        return std::move(hit->response);
-      }
-      ServiceResponse response = service_->Execute(session->session_id,
-                                                   command);
-      if (response.ok()) cache_.Insert(key, *snapshot, response);
-      return response;
-    }
-  }
-  return service_->Execute(session->session_id, command);
+  return Handle(request, refusal, session, kProtocolTextVersion);
 }
 
 std::string RequestRouter::HandleFrame(std::string_view body,
                                        RouterSession* session) {
   Result<DecodedRequest> decoded = DecodeBinaryRequest(body);
   if (!decoded.ok()) {
-    return EncodeBinaryResponse(BadRequest(decoded.status().message()));
+    return EncodeReply(BadRequest(decoded.status().message()),
+                       kProtocolBinaryVersion);
   }
-
-  if (!decoded->batch) {
-    const BinaryRequest& request = decoded->items[0];
-    if (std::optional<ServiceResponse> handled =
-            HandleSessionVerb(request.verb, request.args, session)) {
-      return EncodeBinaryResponse(*handled);
-    }
-    if (request.verb == WireVerb::kPing) {
-      ServiceResponse response;
-      response.lines.push_back("pong");
-      return EncodeBinaryResponse(response);
-    }
-    if (session->session_id.empty()) {
-      return EncodeBinaryResponse(
-          BadRequest("no session; send: open [project]"));
-    }
-    if (request.verb == WireVerb::kPromote) {
-      if (!request.args.empty()) {
-        return EncodeBinaryResponse(BadRequest("usage: promote"));
-      }
-      return EncodeBinaryResponse(PromoteVerb(service_, session->session_id));
-    }
-    if (request.verb == WireVerb::kDemote) {
-      if (request.args.size() != 2) {
-        return EncodeBinaryResponse(
-            BadRequest("usage: demote <epoch> <leader-addr>"));
-      }
-      return EncodeBinaryResponse(DemoteVerb(service_, session->session_id,
-                                             request.args[0],
-                                             request.args[1]));
-    }
-    std::string wire;
-    ServiceResponse response = ExecuteBinary(request, session, &wire);
-    if (!wire.empty()) return wire;  // pre-serialized cache hit
-    return EncodeBinaryResponse(response);
+  if (decoded->batch) {
+    return EncodeBinaryBatchResponse(HandleBatch(decoded->items, session));
   }
+  return Handle(decoded->items[0], /*text_refusal=*/"", session,
+                kProtocolBinaryVersion);
+}
 
-  // Batch frame: parse every item first, then hand the runnable commands
-  // to the service as ONE pipelined batch. Items that fail to parse (or
-  // are session verbs, which would mutate connection state mid-pipeline)
-  // get their error response in place; the rest keep their order.
-  const size_t n = decoded->items.size();
+std::string RequestRouter::Handle(const BinaryRequest& request,
+                                  const std::string& text_refusal,
+                                  RouterSession* session,
+                                  int protocol_version) {
+  const std::vector<std::string>& args = request.args;
+  ServiceResponse response;
+  std::string wire;  // set only by a reply-memo hit
+  // ping, open and proto are the verbs a connection may send before open.
+  if (request.verb == WireVerb::kPing) {
+    response.lines.push_back("pong");
+  } else if (request.verb == WireVerb::kOpen) {
+    if (args.size() > 1) {
+      response = BadRequest("usage: open [project]");
+    } else {
+      session->session_id =
+          service_->OpenSession(args.empty() ? "default" : args[0]);
+      response.lines.push_back(session->session_id);
+    }
+  } else if (request.verb == WireVerb::kProto) {
+    if (args.size() != 1) {
+      response = BadRequest("usage: proto <1|2>");
+    } else if (Result<int> version = ParseInt(args[0]); !version.ok()) {
+      response = BadRequest(version.status().ToString());
+    } else if (*version != kProtocolTextVersion &&
+               *version != kProtocolBinaryVersion) {
+      response = BadRequest("unsupported protocol version '" + args[0] + "'");
+    } else {
+      // The reply still goes out in the framing the request came in.
+      session->protocol_version = *version;
+      response.lines.push_back("proto " + std::to_string(*version));
+    }
+  } else if (session->session_id.empty()) {
+    response = BadRequest(kNoSession);
+  } else if (!text_refusal.empty()) {
+    response = BadRequest(text_refusal);
+  } else if (request.verb == WireVerb::kClose) {
+    Status status = service_->CloseSession(session->session_id);
+    session->session_id.clear();
+    if (!status.ok()) response = BadRequest(status.ToString());
+  } else if (request.verb == WireVerb::kDeadline) {
+    if (args.size() != 1) {
+      response = BadRequest("usage: deadline <ms>|default");
+    } else if (args[0] == "default") {
+      session->deadline_override_ns.reset();
+    } else if (Result<int> ms = ParseInt(args[0]); !ms.ok()) {
+      response = BadRequest(ms.status().ToString());
+    } else if (*ms < 0) {
+      response = BadRequest("deadline must be >= 0 ms");
+    } else {
+      session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
+    }
+  } else if (request.verb == WireVerb::kPromote) {
+    response = args.empty() ? PromoteVerb(service_, session->session_id)
+                            : BadRequest("usage: promote");
+  } else if (request.verb == WireVerb::kDemote) {
+    response = args.size() == 2
+                   ? DemoteVerb(service_, session->session_id, args[0],
+                                args[1])
+                   : BadRequest("usage: demote <epoch> <leader-addr>");
+  } else {
+    ServiceCommand command;
+    if (std::optional<ServiceResponse> error =
+            BuildCommand(request, &command)) {
+      response = *std::move(error);
+    } else {
+      // Absolute deadline: the connection's override, or 0 to let the
+      // service apply its default.
+      if (session->deadline_override_ns.has_value()) {
+        command.deadline_ns =
+            service_->clock()->NowNs() + *session->deadline_override_ns;
+      }
+      response = service_->Execute(session->session_id, command, &wire,
+                                   protocol_version);
+    }
+  }
+  return wire.empty() ? EncodeReply(response, protocol_version) : wire;
+}
+
+std::vector<ServiceResponse> RequestRouter::HandleBatch(
+    const std::vector<BinaryRequest>& items, RouterSession* session) {
+  // Parse every item first, then hand the runnable commands to the service
+  // as ONE pipelined batch. Items that fail to parse (or are session verbs,
+  // which would mutate connection state mid-pipeline) get their error
+  // response in place; the rest keep their order.
+  const size_t n = items.size();
   std::vector<ServiceResponse> out(n);
   std::vector<ServiceCommand> commands;
   std::vector<size_t> slots;
-  std::vector<std::string> keys;  // parallel to `commands`; "" = uncacheable
   commands.reserve(n);
   slots.reserve(n);
-  keys.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const BinaryRequest& item = decoded->items[i];
+    const BinaryRequest& item = items[i];
     if (IsSessionVerb(item.verb) || IsFailoverVerb(item.verb)) {
-      const char* name = WireVerbName(item.verb);
-      out[i] = BadRequest(std::string(name ? name : "?") +
+      out[i] = BadRequest(std::string(WireVerbName(item.verb)) +
                           " not allowed in batch");
       continue;
     }
@@ -493,7 +443,7 @@ std::string RequestRouter::HandleFrame(std::string_view body,
       if (item.verb == WireVerb::kPing) {
         out[i].lines.push_back("pong");
       } else {
-        out[i] = BadRequest("no session; send: open [project]");
+        out[i] = BadRequest(kNoSession);
       }
       continue;
     }
@@ -504,39 +454,15 @@ std::string RequestRouter::HandleFrame(std::string_view body,
     }
     slots.push_back(i);
     commands.push_back(std::move(command));
-    keys.push_back(IsCacheableVerb(item.verb)
-                       ? ResponseCache::Key(WireVerbName(item.verb), item.args)
-                       : std::string());
   }
   if (!commands.empty()) {
-    // Bridge the service's per-run cache hook to the router's ResponseCache.
-    // The service hands us the snapshot each read run executes under, so
-    // entries are exactly as fresh as re-executing would be.
-    struct BatchCacheAdapter final : BatchReadCache {
-      ResponseCache* cache = nullptr;
-      const std::vector<std::string>* keys = nullptr;
-      std::optional<ServiceResponse> Lookup(
-          size_t index, const EngineSnapshot& snapshot) override {
-        const std::string& key = (*keys)[index];
-        if (key.empty()) return std::nullopt;
-        return cache->LookupResponse(key, snapshot);
-      }
-      void Insert(size_t index, const EngineSnapshot& snapshot,
-                  const ServiceResponse& response) override {
-        const std::string& key = (*keys)[index];
-        if (!key.empty()) cache->Insert(key, snapshot, response);
-      }
-    };
-    BatchCacheAdapter adapter;
-    adapter.cache = &cache_;
-    adapter.keys = &keys;
     std::vector<ServiceResponse> results =
-        service_->ExecuteBatch(session->session_id, commands, &adapter);
+        service_->ExecuteBatch(session->session_id, commands);
     for (size_t j = 0; j < results.size(); ++j) {
       out[slots[j]] = std::move(results[j]);
     }
   }
-  return EncodeBinaryBatchResponse(out);
+  return out;
 }
 
 RequestRouter::FeedOutcome RequestRouter::Feed(std::string* input,
@@ -559,7 +485,8 @@ RequestRouter::FeedOutcome RequestRouter::Feed(std::string* input,
       if (status == FrameStatus::kError) {
         // Malformed framing is unrecoverable (the stream cannot be
         // resynchronized); answer once and close.
-        *output += EncodeBinaryResponse(BadRequest(frame_error));
+        *output +=
+            EncodeReply(BadRequest(frame_error), kProtocolBinaryVersion);
         outcome = FeedOutcome::kClose;
         break;
       }
@@ -582,9 +509,10 @@ RequestRouter::FeedOutcome RequestRouter::Feed(std::string* input,
           // A peer that streams bytes without ever sending a newline must
           // not grow the buffer without bound: past the request-line limit
           // the connection gets one error frame and is closed.
-          *output += FormatResponse(BadRequest(
-              "request line exceeds " +
-              std::to_string(kMaxRequestLineBytes) + " bytes"));
+          *output += EncodeReply(
+              BadRequest("request line exceeds " +
+                         std::to_string(kMaxRequestLineBytes) + " bytes"),
+              kProtocolTextVersion);
           outcome = FeedOutcome::kClose;
         }
         break;
@@ -597,200 +525,6 @@ RequestRouter::FeedOutcome RequestRouter::Feed(std::string* input,
   }
   input->erase(0, offset);
   return outcome;
-}
-
-ServiceResponse RequestRouter::Dispatch(const std::string& line,
-                                        RouterSession* session) {
-  // Size and byte-content limits come first: an oversized or NUL-bearing
-  // line is refused before any token of it is interpreted.
-  if (Status valid = ValidateRequestLine(line); !valid.ok()) {
-    return BadRequest(valid.message());
-  }
-  std::vector<std::string> tokens = Tokenize(line);
-  if (tokens.empty()) return BadRequest("empty request");
-  const std::string& verb = tokens[0];
-
-  if (verb == "ping") {
-    ServiceResponse response;
-    response.lines.push_back("pong");
-    return response;
-  }
-
-  if (verb == "proto") {
-    std::vector<std::string> args(tokens.begin() + 1, tokens.end());
-    return *HandleSessionVerb(WireVerb::kProto, args, session);
-  }
-
-  if (verb == "open") {
-    if (tokens.size() > 2) return BadRequest("usage: open [project]");
-    std::string project = tokens.size() == 2 ? tokens[1] : "default";
-    session->session_id = service_->OpenSession(project);
-    ServiceResponse response;
-    response.lines.push_back(session->session_id);
-    return response;
-  }
-
-  if (session->session_id.empty()) {
-    return BadRequest("no session; send: open [project]");
-  }
-
-  if (verb == "close") {
-    Status status = service_->CloseSession(session->session_id);
-    session->session_id.clear();
-    if (!status.ok()) return BadRequest(status.ToString());
-    return {};
-  }
-
-  if (verb == "deadline") {
-    if (tokens.size() != 2) return BadRequest("usage: deadline <ms>|default");
-    if (tokens[1] == "default") {
-      session->deadline_override_ns.reset();
-    } else {
-      Result<int> ms = ParseInt(tokens[1]);
-      if (!ms.ok()) return BadRequest(ms.status().ToString());
-      if (*ms < 0) return BadRequest("deadline must be >= 0 ms");
-      session->deadline_override_ns = static_cast<int64_t>(*ms) * 1'000'000;
-    }
-    return {};
-  }
-
-  // Absolute deadline for this request: connection override, or 0 to let
-  // the service apply its default.
-  int64_t deadline_ns =
-      session->deadline_override_ns.has_value()
-          ? service_->clock()->NowNs() + *session->deadline_override_ns
-          : 0;
-
-  if (verb == "define") {
-    std::string tail = TailAfterVerb(line);
-    if (tail.empty()) return BadRequest("usage: define <escaped-ddl>");
-    Result<std::string> ddl = UnescapeField(tail);
-    if (!ddl.ok()) return BadRequest(ddl.status().ToString());
-    return service_->Define(session->session_id, *ddl, deadline_ns);
-  }
-
-  if (verb == "equiv") {
-    if (tokens.size() != 3) {
-      return BadRequest("usage: equiv <s.o.a> <s.o.a>");
-    }
-    Result<ecr::AttributePath> a = ParsePath(tokens[1]);
-    if (!a.ok()) return BadRequest(a.status().ToString());
-    Result<ecr::AttributePath> b = ParsePath(tokens[2]);
-    if (!b.ok()) return BadRequest(b.status().ToString());
-    return service_->DeclareEquivalence(session->session_id, *a, *b,
-                                        deadline_ns);
-  }
-
-  if (verb == "assert") {
-    if (tokens.size() != 4) {
-      return BadRequest("usage: assert <s.o> <0-5> <s.o>");
-    }
-    Result<core::ObjectRef> first = ParseRef(tokens[1]);
-    if (!first.ok()) return BadRequest(first.status().ToString());
-    Result<int> code = ParseInt(tokens[2]);
-    if (!code.ok()) return BadRequest(code.status().ToString());
-    Result<core::ObjectRef> second = ParseRef(tokens[3]);
-    if (!second.ok()) return BadRequest(second.status().ToString());
-    return service_->AssertRelation(session->session_id, *first, *code,
-                                    *second, deadline_ns);
-  }
-
-  if (verb == "integrate") {
-    std::vector<std::string> schemas(tokens.begin() + 1, tokens.end());
-    return service_->Integrate(session->session_id, std::move(schemas),
-                               deadline_ns);
-  }
-
-  if (verb == "export") {
-    if (tokens.size() != 1) return BadRequest("usage: export");
-    return service_->ExportProject(session->session_id, deadline_ns);
-  }
-
-  if (verb == "rank") {
-    if (tokens.size() < 3 || tokens.size() > 5) {
-      return BadRequest("usage: rank <schema1> <schema2> [rel] [zero]");
-    }
-    core::StructureKind kind = core::StructureKind::kObjectClass;
-    bool include_zero = false;
-    for (size_t i = 3; i < tokens.size(); ++i) {
-      if (tokens[i] == "rel") {
-        kind = core::StructureKind::kRelationshipSet;
-      } else if (tokens[i] == "zero") {
-        include_zero = true;
-      } else {
-        return BadRequest("unknown rank flag '" + tokens[i] + "'");
-      }
-    }
-    return service_->RankedPairs(session->session_id, tokens[1], tokens[2],
-                                 kind, include_zero, deadline_ns);
-  }
-
-  if (verb == "suggest") {
-    if (tokens.size() < 3 || tokens.size() > 4) {
-      return BadRequest("usage: suggest <schema1> <schema2> [threshold]");
-    }
-    double threshold = 0.6;
-    if (tokens.size() == 4) {
-      Result<double> parsed = ParseDouble(tokens[3]);
-      if (!parsed.ok()) return BadRequest(parsed.status().ToString());
-      threshold = *parsed;
-    }
-    return service_->Suggest(session->session_id, tokens[1], tokens[2],
-                             threshold, deadline_ns);
-  }
-
-  if (verb == "translate") {
-    size_t at = 1;
-    bool to_components = false;
-    if (at < tokens.size() && tokens[at] == "components") {
-      to_components = true;
-      ++at;
-    }
-    if (at >= tokens.size()) {
-      return BadRequest(
-          "usage: translate [components] <s.o> [attr,attr,...]");
-    }
-    Result<core::ObjectRef> structure = ParseRef(tokens[at++]);
-    if (!structure.ok()) return BadRequest(structure.status().ToString());
-    core::Request request;
-    request.structure = *structure;
-    if (at < tokens.size()) {
-      for (const std::string& attribute : Split(tokens[at], ',')) {
-        if (!attribute.empty()) request.attributes.push_back(attribute);
-      }
-      ++at;
-    }
-    if (at != tokens.size()) {
-      return BadRequest(
-          "usage: translate [components] <s.o> [attr,attr,...]");
-    }
-    return service_->Translate(session->session_id, request, to_components,
-                               deadline_ns);
-  }
-
-  if (verb == "outline") {
-    if (tokens.size() != 1) return BadRequest("usage: outline");
-    return service_->IntegratedOutline(session->session_id, deadline_ns);
-  }
-
-  if (verb == "metrics") {
-    if (tokens.size() != 1) return BadRequest("usage: metrics");
-    return service_->MetricsDump(session->session_id, deadline_ns);
-  }
-
-  if (verb == "promote") {
-    if (tokens.size() != 1) return BadRequest("usage: promote");
-    return PromoteVerb(service_, session->session_id);
-  }
-
-  if (verb == "demote") {
-    if (tokens.size() != 3) {
-      return BadRequest("usage: demote <epoch> <leader-addr>");
-    }
-    return DemoteVerb(service_, session->session_id, tokens[1], tokens[2]);
-  }
-
-  return BadRequest("unknown verb '" + verb + "'");
 }
 
 }  // namespace ecrint::service

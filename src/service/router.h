@@ -2,13 +2,12 @@
 #define ECRINT_SERVICE_ROUTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "service/protocol.h"
-#include "service/response_cache.h"
 #include "service/service.h"
 
 namespace ecrint::service {
@@ -31,10 +30,15 @@ struct RouterSession {
   int protocol_version = kProtocolTextVersion;
 };
 
-// Translates protocol requests into IntegrationService calls. The router
-// is stateless per request and thread-safe: all per-connection state lives
-// in the RouterSession the transport passes in, all shared state in the
-// service (plus the router's ResponseCache, which is internally locked).
+// Translates protocol requests into IntegrationService calls. Text and
+// binary are two framings of one request path: a text line parses into the
+// same BinaryRequest (verb, args) a binary frame decodes to, and one
+// handler serves it for both — the session verbs, `ping`, the session
+// check, `promote` / `demote`, building the ServiceCommand and the call
+// into the service. HandleLine and HandleFrame only decode and encode.
+// The router is stateless per request and thread-safe: all per-connection
+// state lives in the RouterSession the transport passes in, all shared
+// state (the per-project reply memo included) in the service.
 //
 // Verbs (see docs/FORMATS.md for the grammar):
 //   open [project]              bind this connection to a session
@@ -56,13 +60,10 @@ struct RouterSession {
 //   demote <epoch> <addr>       (admin) fence this node behind a new leader
 class RequestRouter {
  public:
-  explicit RequestRouter(IntegrationService* service) : service_(service) {
-    cache_.SetEvictionCounter(
-        service_->metrics().GetCounter("cache.evictions"));
-  }
+  explicit RequestRouter(IntegrationService* service) : service_(service) {}
 
-  // Handles one text request line synchronously; returns the framed
-  // response (FormatResponse output, ready to write to the wire).
+  // Handles one text request line; returns the framed response
+  // (FormatResponse framing, ready to write to the wire).
   std::string HandleLine(const std::string& line, RouterSession* session);
 
   // Handles one binary frame BODY (the bytes after the length prefix —
@@ -94,35 +95,25 @@ class RequestRouter {
   FeedOutcome Feed(std::string* input, RouterSession* session,
                    std::string* output, std::string* handoff);
 
-  // Same, but executes on a common::ThreadPool::Shared() worker and
-  // invokes `done` with the framed response from that worker. The caller
-  // must keep `session` alive and must not issue another request on the
-  // same RouterSession until `done` ran (one connection = one request in
-  // flight, exactly like a blocking transport).
-  void HandleLineAsync(std::string line, RouterSession* session,
-                       std::function<void(std::string)> done);
-  void HandleFrameAsync(std::string body, RouterSession* session,
-                        std::function<void(std::string)> done);
-
   IntegrationService* service() { return service_; }
-  ResponseCache& cache() { return cache_; }
 
  private:
-  ServiceResponse Dispatch(const std::string& line, RouterSession* session);
+  // The one handler: serves a parsed request from either framing and
+  // returns its reply framed for `protocol_version` (the framing the
+  // request arrived in). `text_refusal` is an argument error only a text
+  // line can make (an unknown verb name, define's escaped DDL); it is
+  // reported after the session check, where BuildCommand's refusal would
+  // be, so both framings refuse in the same order.
+  std::string Handle(const BinaryRequest& request,
+                     const std::string& text_refusal, RouterSession* session,
+                     int protocol_version);
 
-  // Session-plane verbs shared by both protocols. Each returns nullopt
-  // when `verb` is not its verb.
-  std::optional<ServiceResponse> HandleSessionVerb(
-      WireVerb verb, const std::vector<std::string>& args,
-      RouterSession* session);
-
-  // One non-session binary request -> ServiceCommand -> Execute, through
-  // the response cache for cacheable read verbs.
-  ServiceResponse ExecuteBinary(const BinaryRequest& request,
-                                RouterSession* session, std::string* wire);
+  // A batch frame's items: session and failover verbs are refused in
+  // place, the rest run as ONE pipelined ExecuteBatch.
+  std::vector<ServiceResponse> HandleBatch(
+      const std::vector<BinaryRequest>& items, RouterSession* session);
 
   IntegrationService* service_;
-  ResponseCache cache_;
 };
 
 }  // namespace ecrint::service

@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <charconv>
 #include <utility>
 
 #include "common/strings.h"
@@ -23,24 +24,6 @@ ServiceResponse ErrorResponse(ServiceError error) {
   ServiceResponse response;
   response.error = std::move(error);
   return response;
-}
-
-// An integrate that lists a schema twice would merge the schema with
-// itself. The service refuses it before the verb reaches the journal;
-// journal replay and checkpoint restore still accept such a verb, so a
-// data dir written before this check keeps opening.
-std::optional<ServiceError> RepeatedSchemaError(
-    const std::vector<std::string>& schemas) {
-  for (size_t i = 1; i < schemas.size(); ++i) {
-    for (size_t j = 0; j < i; ++j) {
-      if (schemas[i] == schemas[j]) {
-        return ServiceError(ServiceErrorCode::kBadRequest,
-                            "integrate lists schema '" + schemas[i] +
-                                "' more than once");
-      }
-    }
-  }
-  return std::nullopt;
 }
 
 // The refusal a read replica hands every client-facing mutation. An empty
@@ -70,8 +53,8 @@ ServiceResponse WriteFailure(const engine::Engine& engine,
 }
 
 // --- shared verb bodies ----------------------------------------------------
-// One body per verb, shared between the typed single-request methods and
-// the batch executor so both paths produce byte-identical payloads.
+// One body per verb, shared by Execute and the batch executor so both
+// paths produce byte-identical payloads.
 
 ServiceResponse DefineBody(engine::Engine& engine, const std::string& ddl) {
   size_t before = engine.diagnostics().size();
@@ -194,34 +177,77 @@ ServiceResponse OutlineBody(const EngineSnapshot& snapshot) {
   return response;
 }
 
-}  // namespace
-
-const char* ServiceErrorCodeName(ServiceErrorCode code) {
-  switch (code) {
-    case ServiceErrorCode::kOverloaded:
-      return "OVERLOADED";
-    case ServiceErrorCode::kTimeout:
-      return "TIMEOUT";
-    case ServiceErrorCode::kBadRequest:
-      return "BAD_REQUEST";
-    case ServiceErrorCode::kConflict:
-      return "CONFLICT";
-    case ServiceErrorCode::kUnavailable:
-      return "UNAVAILABLE";
-    case ServiceErrorCode::kNotLeader:
-      return "NOT_LEADER";
+// The reply-memo key of a read whose reply is a pure function of the
+// snapshot: the verb and every command field the reply depends on. Empty
+// for the reads that are not memoized (ping, and metrics, which reads live
+// counters).
+std::string MemoKey(const ServiceCommand& command) {
+  switch (command.op) {
+    case ServiceCommand::Op::kRank:
+      return ResponseCache::Key(
+          "rank",
+          {command.schema1, command.schema2,
+           command.kind == core::StructureKind::kRelationshipSet ? "rel" : "",
+           command.include_zero ? "zero" : ""});
+    case ServiceCommand::Op::kSuggest: {
+      char threshold[32];
+      auto [end, ec] = std::to_chars(threshold, threshold + sizeof threshold,
+                                     command.threshold);
+      (void)ec;  // the shortest round-trip form of a double always fits
+      return ResponseCache::Key(
+          "suggest", {command.schema1, command.schema2,
+                      std::string(threshold, end)});
+    }
+    case ServiceCommand::Op::kTranslate: {
+      std::vector<std::string> fields = {
+          command.to_components ? "components" : "",
+          command.request.structure.schema, command.request.structure.object};
+      fields.insert(fields.end(), command.request.attributes.begin(),
+                    command.request.attributes.end());
+      return ResponseCache::Key("translate", fields);
+    }
+    case ServiceCommand::Op::kOutline:
+      return ResponseCache::Key("outline", {});
+    default:
+      return "";
   }
-  return "BAD_REQUEST";
 }
 
-ServiceError ErrorFromStatus(const Status& status) {
-  ServiceError error;
-  error.code = status.code() == StatusCode::kConflict
-                   ? ServiceErrorCode::kConflict
-                   : ServiceErrorCode::kBadRequest;
-  error.message = status.ToString();
-  return error;
+// The journal record of a write command; nullopt for export, which
+// mutates nothing and is never journaled. Both write paths build it before
+// anything is logged, so a command that must not reach the journal is
+// refused here: an integrate that lists a schema twice would merge the
+// schema with itself. Journal replay and checkpoint restore still accept
+// such a verb, so a data dir written before this check keeps opening.
+Result<std::optional<engine::ReplayVerb>> ReplayVerbFor(
+    const ServiceCommand& command) {
+  switch (command.op) {
+    case ServiceCommand::Op::kDefine:
+      return std::optional(engine::DefineVerb(command.text));
+    case ServiceCommand::Op::kEquiv:
+      return std::optional(
+          engine::EquivalenceVerb(command.path_a, command.path_b));
+    case ServiceCommand::Op::kAssert:
+      return std::optional(engine::RelationVerb(
+          command.first, command.type_code, command.second));
+    case ServiceCommand::Op::kIntegrate: {
+      const std::vector<std::string>& schemas = command.schemas;
+      for (size_t i = 1; i < schemas.size(); ++i) {
+        for (size_t j = 0; j < i; ++j) {
+          if (schemas[i] == schemas[j]) {
+            return InvalidArgumentError("integrate lists schema '" +
+                                        schemas[i] + "' more than once");
+          }
+        }
+      }
+      return std::optional(engine::IntegrateVerb(schemas));
+    }
+    default:
+      return std::optional<engine::ReplayVerb>();
+  }
 }
+
+}  // namespace
 
 bool IsWriteCommand(ServiceCommand::Op op) {
   switch (op) {
@@ -293,6 +319,7 @@ IntegrationService::IntegrationService(ServiceConfig config)
   enospc_degrades_ = metrics_.GetCounter("journal.enospc");
   stale_epoch_rejects_ = metrics_.GetCounter("repl.stale_epoch_rejects");
   cache_hits_ = metrics_.GetCounter("cache.hits");
+  cache_evictions_ = metrics_.GetCounter("cache.evictions");
   sessions_live_ = metrics_.GetGauge("sessions.live");
   queue_depth_ = metrics_.GetGauge("queue.depth");
   epoch_gauge_ = metrics_.GetGauge("repl.epoch");
@@ -334,6 +361,7 @@ void IntegrationService::EnsureProject(const std::string& project) {
   std::unique_ptr<ProjectState>& slot = projects_[project];
   if (slot) return;
   slot = std::make_unique<ProjectState>();
+  slot->memo.SetEvictionCounter(cache_evictions_);
   if (!config_.data_dir.empty()) {
     // Recover the engine from the project's journal + checkpoint (a
     // fresh directory on first use). Recovery failure does not fail
@@ -400,49 +428,36 @@ IntegrationService::ProjectState* IntegrationService::ProjectForSession(
 }
 
 template <typename Fn>
-ServiceResponse IntegrationService::Admit(const std::string& session_id,
-                                          const char* verb,
-                                          int64_t deadline_ns, Fn&& fn) {
-  // Opportunistic (throttled) reaping keeps the session table tight
-  // without a timer thread.
-  MaybeReapSessions();
-  VerbStats stats = StatsFor(verb);
-  stats.requests->Increment();
-
-  ServiceResponse response;
+std::optional<ServiceError> IntegrationService::Admit(
+    const std::string& session_id, int64_t deadline_ns, Histogram* latency,
+    Fn&& fn) {
   Result<std::string> project_name = sessions_.TouchAndProject(session_id);
-  ProjectState* project = nullptr;
-  if (!project_name.ok()) {
-    response.error = ErrorFromStatus(project_name.status());
-  } else if ((project = FindProject(*project_name)) == nullptr) {
-    response.error = {ServiceErrorCode::kBadRequest,
-                      "no project '" + *project_name + "'"};
+  if (!project_name.ok()) return ErrorFromStatus(project_name.status());
+  ProjectState* project = FindProject(*project_name);
+  if (project == nullptr) {
+    return ServiceError(ServiceErrorCode::kBadRequest,
+                        "no project '" + *project_name + "'");
+  }
+  int64_t now = clock_->NowNs();
+  int64_t deadline =
+      deadline_ns > 0 ? deadline_ns : now + config_.default_deadline_ns;
+  std::optional<ServiceError> refusal;
+  int64_t in_flight = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  queue_depth_->Set(in_flight);
+  if (in_flight > config_.queue_depth) {
+    refusal = ServiceError(ServiceErrorCode::kOverloaded,
+                           "request queue at capacity (" +
+                               std::to_string(config_.queue_depth) + ")");
+  } else if (now >= deadline) {
+    refusal = ServiceError(ServiceErrorCode::kTimeout,
+                           "deadline expired before execution");
   } else {
-    int64_t now = clock_->NowNs();
-    int64_t deadline =
-        deadline_ns > 0 ? deadline_ns : now + config_.default_deadline_ns;
-
-    int64_t in_flight =
-        in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_->Set(in_flight);
-    if (in_flight > config_.queue_depth) {
-      response.error = {ServiceErrorCode::kOverloaded,
-                        "request queue at capacity (" +
-                            std::to_string(config_.queue_depth) + ")"};
-    } else if (now >= deadline) {
-      response.error = {ServiceErrorCode::kTimeout,
-                        "deadline expired before execution"};
-    } else {
-      common::Stopwatch watch(clock_);
-      response = fn(*project, deadline);
-      stats.latency->Record(watch.ElapsedNs() / 1000);
-    }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    common::Stopwatch watch(clock_);
+    fn(*project, deadline);
+    latency->Record(watch.ElapsedNs() / 1000);
   }
-  if (response.error.has_value()) {
-    error_counters_[static_cast<int>(response.error->code)]->Increment();
-  }
-  return response;
+  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  return refusal;
 }
 
 void IntegrationService::RecordClosureMetrics(ProjectState& project,
@@ -496,11 +511,14 @@ ServiceError IntegrationService::UnavailableError(
   return error;
 }
 
-template <typename Fn>
 ServiceResponse IntegrationService::RunWrite(ProjectState& project,
                                              int64_t deadline_ns,
-                                             const engine::ReplayVerb* verb,
-                                             Fn&& fn) {
+                                             const ServiceCommand& command) {
+  Result<std::optional<engine::ReplayVerb>> verb = ReplayVerbFor(command);
+  if (!verb.ok()) {
+    return ErrorResponse(
+        {ServiceErrorCode::kBadRequest, verb.status().message()});
+  }
   std::lock_guard<std::mutex> lock(project.write_mutex);
   // Time queued behind other writers counts against the deadline: a client
   // whose deadline lapsed while waiting sees TIMEOUT, not a late mutation.
@@ -508,7 +526,7 @@ ServiceResponse IntegrationService::RunWrite(ProjectState& project,
     return ErrorResponse({ServiceErrorCode::kTimeout,
                           "deadline expired while queued for write"});
   }
-  if (verb != nullptr) {
+  if (verb->has_value()) {
     if (!LeadsWrites()) {
       // Read replica (or a fenced deposed leader): the leader's
       // replication stream is the only writer (it enters through
@@ -523,7 +541,7 @@ ServiceResponse IntegrationService::RunWrite(ProjectState& project,
       // WAL-first: the verb hits the journal before the engine, so a
       // journal failure leaves memory and disk agreeing (verb happened
       // nowhere) and the project flips to degraded read-only mode.
-      Status logged = project.durability->LogVerb(*verb);
+      Status logged = project.durability->LogVerb(**verb);
       if (!logged.ok()) {
         DegradeProject(project, logged);
         return ErrorResponse(UnavailableError(project));
@@ -531,14 +549,14 @@ ServiceResponse IntegrationService::RunWrite(ProjectState& project,
     }
   }
   const core::ClosureStats closure_before = project.engine.ClosureTotals();
-  ServiceResponse response = fn(project.engine);
+  ServiceResponse response = WriteCommandBody(project.engine, command);
   RecordClosureMetrics(project, closure_before);
   if (project.snapshots.Publish(project.engine)) {
     snapshots_published_->Increment();
   }
   // After publish so the checkpoint captures the published stamp (publish
   // materializes the equivalence map; replay mirrors that).
-  if (verb != nullptr && project.durability != nullptr) {
+  if (verb->has_value() && project.durability != nullptr) {
     project.durability->MaybeCheckpoint(project.engine);
   }
   return response;
@@ -839,7 +857,7 @@ int IntegrationService::CheckpointProjects() {
 }
 
 // ---------------------------------------------------------------------------
-// Write verbs.
+// The integrate body (a member: it times its reply rendering).
 // ---------------------------------------------------------------------------
 
 ServiceResponse IntegrationService::IntegrateBody(
@@ -877,210 +895,85 @@ ServiceResponse IntegrationService::IntegrateBody(
   return response;
 }
 
-ServiceResponse IntegrationService::Define(const std::string& session_id,
-                                           const std::string& ddl,
-                                           int64_t deadline_ns) {
-  return Admit(session_id, "define", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb = engine::DefineVerb(ddl);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return DefineBody(engine, ddl);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::DeclareEquivalence(
-    const std::string& session_id, const ecr::AttributePath& a,
-    const ecr::AttributePath& b, int64_t deadline_ns) {
-  return Admit(session_id, "equiv", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb = engine::EquivalenceVerb(a, b);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return EquivBody(engine, a, b);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::AssertRelation(
-    const std::string& session_id, const core::ObjectRef& first,
-    int type_code, const core::ObjectRef& second, int64_t deadline_ns) {
-  return Admit(session_id, "assert", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 engine::ReplayVerb verb =
-                     engine::RelationVerb(first, type_code, second);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return AssertBody(engine, first,
-                                                     type_code, second);
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::Integrate(
-    const std::string& session_id, std::vector<std::string> schemas,
-    int64_t deadline_ns) {
-  return Admit(session_id, "integrate", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 if (std::optional<ServiceError> repeated =
-                         RepeatedSchemaError(schemas)) {
-                   return ErrorResponse(*std::move(repeated));
-                 }
-                 engine::ReplayVerb verb = engine::IntegrateVerb(schemas);
-                 return RunWrite(project, deadline, &verb,
-                                 [&](engine::Engine& engine) {
-                                   return IntegrateBody(engine,
-                                                        std::move(schemas));
-                                 });
-               });
-}
-
-ServiceResponse IntegrationService::ExportProject(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "export", deadline_ns,
-               [&](ProjectState& project, int64_t deadline) {
-                 // Export mutates nothing; it rides the write lock only for
-                 // a consistent view, so it is not journaled and still
-                 // works in degraded mode.
-                 return RunWrite(project, deadline, /*verb=*/nullptr,
-                                 [&](engine::Engine& engine) {
-                                   return ExportBody(engine);
-                                 });
-               });
-}
-
 // ---------------------------------------------------------------------------
-// Read verbs: snapshot-only, no engine access, no project lock.
-// ---------------------------------------------------------------------------
-
-ServiceResponse IntegrationService::RankedPairs(
-    const std::string& session_id, const std::string& schema1,
-    const std::string& schema2, core::StructureKind kind, bool include_zero,
-    int64_t deadline_ns) {
-  return Admit(session_id, "rank", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return RankBody(*snapshot, schema1, schema2, kind,
-                                 include_zero);
-               });
-}
-
-ServiceResponse IntegrationService::Suggest(const std::string& session_id,
-                                            const std::string& schema1,
-                                            const std::string& schema2,
-                                            double threshold,
-                                            int64_t deadline_ns) {
-  return Admit(session_id, "suggest", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return SuggestBody(*snapshot, schema1, schema2, threshold);
-               });
-}
-
-ServiceResponse IntegrationService::Translate(const std::string& session_id,
-                                              const core::Request& request,
-                                              bool to_components,
-                                              int64_t deadline_ns) {
-  return Admit(session_id, "translate", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return TranslateBody(*snapshot, request, to_components);
-               });
-}
-
-ServiceResponse IntegrationService::IntegratedOutline(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "outline", deadline_ns,
-               [&](ProjectState& project, int64_t) {
-                 std::shared_ptr<const EngineSnapshot> snapshot =
-                     project.snapshots.Current();
-                 return OutlineBody(*snapshot);
-               });
-}
-
-ServiceResponse IntegrationService::MetricsDump(
-    const std::string& session_id, int64_t deadline_ns) {
-  return Admit(session_id, "metrics", deadline_ns,
-               [&](ProjectState&, int64_t) {
-                 ServiceResponse response;
-                 response.lines.push_back(metrics_.MetricsJson());
-                 return response;
-               });
-}
-
-// ---------------------------------------------------------------------------
-// Command plane: protocol-independent dispatch and pipelined batches.
+// Command plane: one executor for single requests, and pipelined batches.
 // ---------------------------------------------------------------------------
 
 ServiceResponse IntegrationService::Execute(const std::string& session_id,
-                                            const ServiceCommand& command) {
-  switch (command.op) {
-    case ServiceCommand::Op::kPing: {
-      ServiceResponse response;
-      response.lines.push_back("pong");
-      return response;
-    }
-    case ServiceCommand::Op::kDefine:
-      return Define(session_id, command.text, command.deadline_ns);
-    case ServiceCommand::Op::kEquiv:
-      return DeclareEquivalence(session_id, command.path_a, command.path_b,
-                                command.deadline_ns);
-    case ServiceCommand::Op::kAssert:
-      return AssertRelation(session_id, command.first, command.type_code,
-                            command.second, command.deadline_ns);
-    case ServiceCommand::Op::kIntegrate:
-      return Integrate(session_id, command.schemas, command.deadline_ns);
-    case ServiceCommand::Op::kExport:
-      return ExportProject(session_id, command.deadline_ns);
-    case ServiceCommand::Op::kRank:
-      return RankedPairs(session_id, command.schema1, command.schema2,
-                         command.kind, command.include_zero,
-                         command.deadline_ns);
-    case ServiceCommand::Op::kSuggest:
-      return Suggest(session_id, command.schema1, command.schema2,
-                     command.threshold, command.deadline_ns);
-    case ServiceCommand::Op::kTranslate:
-      return Translate(session_id, command.request, command.to_components,
-                       command.deadline_ns);
-    case ServiceCommand::Op::kOutline:
-      return IntegratedOutline(session_id, command.deadline_ns);
-    case ServiceCommand::Op::kMetrics:
-      return MetricsDump(session_id, command.deadline_ns);
+                                            const ServiceCommand& command,
+                                            std::string* wire,
+                                            int protocol_version) {
+  // Opportunistic (throttled) reaping keeps the session table tight
+  // without a timer thread.
+  MaybeReapSessions();
+  VerbStats stats = StatsFor(CommandVerbName(command.op));
+  stats.requests->Increment();
+  ServiceResponse response;
+  std::optional<ServiceError> refusal = Admit(
+      session_id, command.deadline_ns, stats.latency,
+      [&](ProjectState& project, int64_t deadline) {
+        if (IsWriteCommand(command.op)) {
+          response = RunWrite(project, deadline, command);
+        } else {
+          // Reads never touch the engine: they compute from (or are
+          // answered by the memo against) the current snapshot, lock-free
+          // against a writer mid-mutation.
+          response = ReadCommandBody(project, *project.snapshots.Current(),
+                                     command, wire, protocol_version);
+        }
+      });
+  if (refusal.has_value()) response.error = *std::move(refusal);
+  if (response.error.has_value()) {
+    error_counters_[static_cast<int>(response.error->code)]->Increment();
   }
-  return ErrorResponse({ServiceErrorCode::kBadRequest, "unknown command"});
+  return response;
 }
 
 ServiceResponse IntegrationService::ReadCommandBody(
-    const EngineSnapshot& snapshot, const ServiceCommand& command) {
+    ProjectState& project, const EngineSnapshot& snapshot,
+    const ServiceCommand& command, std::string* wire, int protocol_version) {
+  const std::string key = MemoKey(command);
+  if (!key.empty()) {
+    if (std::optional<ServiceResponse> hit =
+            project.memo.Lookup(key, snapshot, wire, protocol_version)) {
+      cache_hits_->Increment();
+      return *std::move(hit);
+    }
+  }
+  ServiceResponse response;
   switch (command.op) {
-    case ServiceCommand::Op::kPing: {
-      ServiceResponse response;
+    case ServiceCommand::Op::kPing:
       response.lines.push_back("pong");
-      return response;
-    }
+      break;
     case ServiceCommand::Op::kRank:
-      return RankBody(snapshot, command.schema1, command.schema2,
-                      command.kind, command.include_zero);
+      response = RankBody(snapshot, command.schema1, command.schema2,
+                          command.kind, command.include_zero);
+      break;
     case ServiceCommand::Op::kSuggest:
-      return SuggestBody(snapshot, command.schema1, command.schema2,
-                         command.threshold);
+      response = SuggestBody(snapshot, command.schema1, command.schema2,
+                             command.threshold);
+      break;
     case ServiceCommand::Op::kTranslate:
-      return TranslateBody(snapshot, command.request, command.to_components);
+      response =
+          TranslateBody(snapshot, command.request, command.to_components);
+      break;
     case ServiceCommand::Op::kOutline:
-      return OutlineBody(snapshot);
-    case ServiceCommand::Op::kMetrics: {
-      ServiceResponse response;
+      response = OutlineBody(snapshot);
+      break;
+    case ServiceCommand::Op::kMetrics:
       response.lines.push_back(metrics_.MetricsJson());
-      return response;
-    }
+      break;
     default:
       return ErrorResponse(
           {ServiceErrorCode::kBadRequest, "not a read command"});
   }
+  // Only successful replies are memoized: an error names a missing schema
+  // or object, which a later write may add without touching the parts the
+  // entry would be validated against.
+  if (!key.empty() && response.ok()) {
+    project.memo.Insert(key, snapshot, response);
+  }
+  return response;
 }
 
 ServiceResponse IntegrationService::WriteCommandBody(
@@ -1103,64 +996,23 @@ ServiceResponse IntegrationService::WriteCommandBody(
   }
 }
 
-// The replay-journal record for a write command; nullopt for export, which
-// mutates nothing and is never journaled.
-static std::optional<engine::ReplayVerb> ReplayVerbFor(
-    const ServiceCommand& command) {
-  switch (command.op) {
-    case ServiceCommand::Op::kDefine:
-      return engine::DefineVerb(command.text);
-    case ServiceCommand::Op::kEquiv:
-      return engine::EquivalenceVerb(command.path_a, command.path_b);
-    case ServiceCommand::Op::kAssert:
-      return engine::RelationVerb(command.first, command.type_code,
-                                  command.second);
-    case ServiceCommand::Op::kIntegrate:
-      return engine::IntegrateVerb(command.schemas);
-    default:
-      return std::nullopt;
-  }
-}
-
 std::vector<ServiceResponse> IntegrationService::ExecuteBatch(
     const std::string& session_id,
-    const std::vector<ServiceCommand>& commands, BatchReadCache* cache) {
+    const std::vector<ServiceCommand>& commands) {
   std::vector<ServiceResponse> out(commands.size());
   if (commands.empty()) return out;
   MaybeReapSessions();
   VerbStats batch_stats = StatsFor("batch");
   batch_stats.requests->Increment();
   batch_size_->Record(static_cast<int64_t>(commands.size()));
-
-  auto fail_all = [&](const ServiceError& error) {
-    for (ServiceResponse& response : out) response.error = error;
-  };
-
-  Result<std::string> project_name = sessions_.TouchAndProject(session_id);
-  ProjectState* project = nullptr;
-  if (!project_name.ok()) {
-    fail_all(ErrorFromStatus(project_name.status()));
-  } else if ((project = FindProject(*project_name)) == nullptr) {
-    fail_all({ServiceErrorCode::kBadRequest,
-              "no project '" + *project_name + "'"});
-  } else {
-    // ONE admission charge for the whole batch.
-    int64_t now = clock_->NowNs();
-    int64_t deadline = now + config_.default_deadline_ns;
-    int64_t in_flight = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    queue_depth_->Set(in_flight);
-    if (in_flight > config_.queue_depth) {
-      fail_all({ServiceErrorCode::kOverloaded,
-                "request queue at capacity (" +
-                    std::to_string(config_.queue_depth) + ")"});
-    } else {
-      common::Stopwatch watch(clock_);
-      RunBatch(*project, deadline, commands, out, cache);
-      batch_stats.latency->Record(watch.ElapsedNs() / 1000);
-    }
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  for (const ServiceResponse& response : out) {
+  // ONE admission charge for the whole batch, under one default deadline.
+  std::optional<ServiceError> refusal =
+      Admit(session_id, /*deadline_ns=*/0, batch_stats.latency,
+            [&](ProjectState& project, int64_t deadline) {
+              RunBatch(project, deadline, commands, out);
+            });
+  for (ServiceResponse& response : out) {
+    if (refusal.has_value()) response.error = refusal;
     if (response.error.has_value()) {
       error_counters_[static_cast<int>(response.error->code)]->Increment();
     }
@@ -1170,31 +1022,21 @@ std::vector<ServiceResponse> IntegrationService::ExecuteBatch(
 
 void IntegrationService::RunBatch(ProjectState& project, int64_t deadline_ns,
                                   const std::vector<ServiceCommand>& commands,
-                                  std::vector<ServiceResponse>& out,
-                                  BatchReadCache* cache) {
+                                  std::vector<ServiceResponse>& out) {
   const size_t n = commands.size();
   size_t i = 0;
   while (i < n) {
     if (!IsWriteCommand(commands[i].op)) {
       // Read run: every read in the run shares ONE snapshot acquisition.
-      // Cache lookups validate against this same snapshot, so a read that
+      // Memo lookups validate against this same snapshot, so a read that
       // follows a write run in the batch can never be served a pre-write
       // answer.
       std::shared_ptr<const EngineSnapshot> snapshot =
           project.snapshots.Current();
       for (; i < n && !IsWriteCommand(commands[i].op); ++i) {
         StatsFor(CommandVerbName(commands[i].op)).requests->Increment();
-        if (cache != nullptr) {
-          if (std::optional<ServiceResponse> hit = cache->Lookup(i, *snapshot)) {
-            cache_hits_->Increment();
-            out[i] = *std::move(hit);
-            continue;
-          }
-        }
-        out[i] = ReadCommandBody(*snapshot, commands[i]);
-        if (cache != nullptr && out[i].ok()) {
-          cache->Insert(i, *snapshot, out[i]);
-        }
+        out[i] = ReadCommandBody(project, *snapshot, commands[i],
+                                 /*wire=*/nullptr, kProtocolBinaryVersion);
       }
       continue;
     }
@@ -1232,18 +1074,16 @@ void IntegrationService::RunWriteBatch(
   for (size_t k = begin; k < end; ++k) {
     const ServiceCommand& command = commands[k];
     StatsFor(CommandVerbName(command.op)).requests->Increment();
-    std::optional<engine::ReplayVerb> verb = ReplayVerbFor(command);
-    if (!verb.has_value()) {
+    Result<std::optional<engine::ReplayVerb>> verb = ReplayVerbFor(command);
+    if (!verb.ok()) {
+      out[k] = ErrorResponse(
+          {ServiceErrorCode::kBadRequest, verb.status().message()});
+      continue;
+    }
+    if (!verb->has_value()) {
       // export: not journaled, works in degraded mode (and on replicas).
       out[k] = ExportBody(project.engine);
       continue;
-    }
-    if (command.op == ServiceCommand::Op::kIntegrate) {
-      if (std::optional<ServiceError> repeated =
-              RepeatedSchemaError(command.schemas)) {
-        out[k] = ErrorResponse(*std::move(repeated));
-        continue;
-      }
     }
     if (!leads) {
       out[k] = ErrorResponse(NotLeaderError(leader));
@@ -1254,7 +1094,7 @@ void IntegrationService::RunWriteBatch(
       continue;
     }
     if (project.durability != nullptr) {
-      Status logged = project.durability->LogVerbDeferred(*verb);
+      Status logged = project.durability->LogVerbDeferred(**verb);
       if (!logged.ok()) {
         DegradeProject(project, logged);
         append_failed = true;

@@ -20,77 +20,19 @@
 #include "engine/engine.h"
 #include "engine/replay.h"
 #include "service/metrics.h"
+#include "service/protocol.h"
 #include "service/recovery.h"
+#include "service/response.h"
+#include "service/response_cache.h"
 #include "service/session.h"
 #include "service/snapshot.h"
 
 namespace ecrint::service {
 
-// What a client sees when the service refuses or fails a request. The six
-// codes partition every failure the service plane can produce:
-//   OVERLOADED  - admission control shed the request (queue at capacity);
-//                 retry with backoff, the project state is untouched.
-//   TIMEOUT     - the request's deadline expired before execution started;
-//                 the project state is untouched.
-//   CONFLICT    - the engine rejected the mutation as contradictory (the
-//                 paper's Screen-9 case); message carries the derivation.
-//   BAD_REQUEST - anything else the caller got wrong: unknown verb or
-//                 session, parse errors, missing schemas/attributes,
-//                 operations out of phase order.
-//   UNAVAILABLE - the project's journal device failed, so mutations are
-//                 refused (degraded read-only mode); nothing was applied.
-//                 Carries a retry-after hint; reads keep working against
-//                 the last published snapshot.
-//   NOT_LEADER  - this node is a read replica: mutations must go to the
-//                 leader, whose address rides along in `leader`. Reads keep
-//                 working here. Appended last so existing binary status
-//                 bytes are unchanged.
-enum class ServiceErrorCode {
-  kOverloaded,
-  kTimeout,
-  kBadRequest,
-  kConflict,
-  kUnavailable,
-  kNotLeader,
-};
-
-// Wire name of a code ("OVERLOADED", "TIMEOUT", ...).
-const char* ServiceErrorCodeName(ServiceErrorCode code);
-
-struct ServiceError {
-  ServiceErrorCode code = ServiceErrorCode::kBadRequest;
-  std::string message;
-  // For UNAVAILABLE: how long the client should wait before retrying
-  // (0 = no hint).
-  int64_t retry_after_ms = 0;
-  // For NOT_LEADER: where writes should go (host:port).
-  std::string leader;
-
-  ServiceError() = default;
-  ServiceError(ServiceErrorCode code_in, std::string message_in,
-               int64_t retry_after_ms_in = 0, std::string leader_in = {})
-      : code(code_in),
-        message(std::move(message_in)),
-        retry_after_ms(retry_after_ms_in),
-        leader(std::move(leader_in)) {}
-};
-
-// Maps an engine/library Status onto the service error vocabulary:
-// kConflict -> CONFLICT, everything else -> BAD_REQUEST (admission codes
-// never come from a Status).
-ServiceError ErrorFromStatus(const Status& status);
-
-struct ServiceResponse {
-  std::optional<ServiceError> error;
-  std::vector<std::string> lines;  // payload, one wire line each
-
-  bool ok() const { return !error.has_value(); }
-};
-
 // One parsed request in protocol-independent form. The router builds these
-// from text tokens or binary frame arguments; the service executes them one
-// at a time (Execute) or as a pipelined batch (ExecuteBatch). Which payload
-// fields matter depends on `op`.
+// from the request a text line or a binary frame decodes to; the service
+// executes them one at a time (Execute) or as a pipelined batch
+// (ExecuteBatch). Which payload fields matter depends on `op`.
 struct ServiceCommand {
   enum class Op {
     kPing,
@@ -173,28 +115,10 @@ struct ServiceConfig {
 // — on client threads or common::ThreadPool workers — while a writer is
 // mid-mutation.
 //
-// Every operation passes admission control (bounded in-flight count,
+// Every request passes admission control (bounded in-flight count,
 // per-request deadline) and charges a per-verb latency histogram plus
-// request/error counters to the MetricsRegistry.
-//
-// Optional per-item read cache consulted by ExecuteBatch. Implemented by
-// the router (which owns the ResponseCache and knows each item's wire-level
-// key). The service calls it with the snapshot the read run actually
-// executes against — reads that follow a write run in the same batch are
-// therefore validated against the post-write snapshot, never the pre-batch
-// one, so a hit is exactly as fresh as re-executing would be.
-class BatchReadCache {
- public:
-  virtual ~BatchReadCache() = default;
-  // A still-valid cached response for commands[index] under `snapshot`,
-  // or nullopt to execute the read normally.
-  virtual std::optional<ServiceResponse> Lookup(
-      size_t index, const EngineSnapshot& snapshot) = 0;
-  // Offers the freshly executed ok() response for commands[index].
-  virtual void Insert(size_t index, const EngineSnapshot& snapshot,
-                      const ServiceResponse& response) = 0;
-};
-
+// request/error counters to the MetricsRegistry, whether its reply is
+// computed or served from the project's reply memo.
 class IntegrationService {
  public:
   explicit IntegrationService(ServiceConfig config = {});
@@ -209,67 +133,37 @@ class IntegrationService {
   Status CloseSession(const std::string& session_id);
   SessionManager& sessions() { return sessions_; }
 
-  // --- write verbs (serialized per project) --------------------------------
-  ServiceResponse Define(const std::string& session_id,
-                         const std::string& ddl, int64_t deadline_ns = 0);
-  ServiceResponse DeclareEquivalence(const std::string& session_id,
-                                     const ecr::AttributePath& a,
-                                     const ecr::AttributePath& b,
-                                     int64_t deadline_ns = 0);
-  ServiceResponse AssertRelation(const std::string& session_id,
-                                 const core::ObjectRef& first, int type_code,
-                                 const core::ObjectRef& second,
-                                 int64_t deadline_ns = 0);
-  ServiceResponse Integrate(const std::string& session_id,
-                            std::vector<std::string> schemas,
-                            int64_t deadline_ns = 0);
-  ServiceResponse ExportProject(const std::string& session_id,
-                                int64_t deadline_ns = 0);
-
-  // --- read verbs (lock-free against the current snapshot) ----------------
-  ServiceResponse RankedPairs(const std::string& session_id,
-                              const std::string& schema1,
-                              const std::string& schema2,
-                              core::StructureKind kind, bool include_zero,
-                              int64_t deadline_ns = 0);
-  ServiceResponse Suggest(const std::string& session_id,
-                          const std::string& schema1,
-                          const std::string& schema2, double threshold,
-                          int64_t deadline_ns = 0);
-  ServiceResponse Translate(const std::string& session_id,
-                            const core::Request& request, bool to_components,
-                            int64_t deadline_ns = 0);
-  ServiceResponse IntegratedOutline(const std::string& session_id,
-                                    int64_t deadline_ns = 0);
-  ServiceResponse MetricsDump(const std::string& session_id,
-                              int64_t deadline_ns = 0);
-
   // --- command plane -------------------------------------------------------
-  // Executes one protocol-independent command (dispatches to the typed verb
-  // methods above; kPing answers without touching the project).
+  // Executes one protocol-independent command: admission, then a read
+  // against the current snapshot through the project's reply memo, or a
+  // write (define / equiv / assert / integrate, and export for a consistent
+  // view) under the project write lock, journaled first and republished
+  // after. A transport passes `wire` and its framing: a memo hit then
+  // comes back as the memo's frame in `*wire` with an empty response, so a
+  // hit copies no payload line and encodes nothing. Otherwise `*wire` is
+  // left empty and the caller frames the response.
   ServiceResponse Execute(const std::string& session_id,
-                          const ServiceCommand& command);
+                          const ServiceCommand& command,
+                          std::string* wire = nullptr,
+                          int protocol_version = kProtocolTextVersion);
 
   // Pipelined batch execution: ONE admission charge for the whole batch,
-  // then consecutive reads share a single snapshot acquisition and
-  // consecutive writes run in a single write-lock pass whose journal
-  // records are covered by one group-commit barrier (FsyncPolicy::kAlways
-  // and kBatch both fsync once per write run). Responses come back in
-  // command order. If the commit barrier fails, every write of that run
-  // answers UNAVAILABLE and the project degrades — the mutations may be
-  // applied in memory but are not durable (see docs/OPERATIONS.md).
-  //
-  // `cache`, when non-null, is consulted for each read item against the
-  // snapshot its run executes under; hits skip the read body entirely and
-  // count toward service.cache_hits.
+  // then consecutive reads share a single snapshot acquisition (and the
+  // reply memo, validated against that snapshot) and consecutive writes
+  // run in a single write-lock pass whose journal records are covered by
+  // one group-commit barrier (FsyncPolicy::kAlways and kBatch both fsync
+  // once per write run). Responses come back in command order. If the
+  // commit barrier fails, every write of that run answers UNAVAILABLE and
+  // the project degrades — the mutations may be applied in memory but are
+  // not durable (see docs/OPERATIONS.md).
   std::vector<ServiceResponse> ExecuteBatch(
       const std::string& session_id,
-      const std::vector<ServiceCommand>& commands,
-      BatchReadCache* cache = nullptr);
+      const std::vector<ServiceCommand>& commands);
 
-  // Accounting hook for responses the router serves from its cache without
-  // re-executing: bumps the verb's request counter, the cache-hit counter,
-  // and the session's activity stamp.
+  // The accounting of a reply served without executing, on its own: bumps
+  // the verb's request counter, the cache-hit counter, and the session's
+  // activity stamp. Execute does this itself for a memo hit; perfbench's
+  // read_hot peel times it in isolation.
   void NoteCacheHit(const std::string& session_id, const char* verb);
 
   // Checkpoints every healthy durable project now (shutdown/drain path);
@@ -401,6 +295,8 @@ class IntegrationService {
     // durability layer's persisted epoch when one exists. Guarded by
     // write_mutex.
     uint64_t epoch = 0;
+    // Replies to this project's memoizable reads (internally locked).
+    ResponseCache memo;
   };
 
   // Per-verb instruments, resolved once at construction so the hot path
@@ -410,21 +306,23 @@ class IntegrationService {
     Histogram* latency = nullptr;
   };
 
-  // Admission + deadline + session routing + metrics around one verb.
-  // `fn(project)` runs with no lock held for reads and must itself take
-  // the write mutex for writes (see RunWrite).
+  // Admission, shared by Execute and ExecuteBatch: resolves the session's
+  // project, claims an in-flight slot and checks the queue bound and the
+  // absolute deadline (0 = now + the default). Runs `fn(project, deadline)`
+  // timed into `latency` when admitted; returns the refusal otherwise.
   template <typename Fn>
-  ServiceResponse Admit(const std::string& session_id, const char* verb,
-                        int64_t deadline_ns, Fn&& fn);
+  std::optional<ServiceError> Admit(const std::string& session_id,
+                                    int64_t deadline_ns, Histogram* latency,
+                                    Fn&& fn);
 
-  // The write path body: lock, re-check deadline (time spent queued counts
-  // against it), journal the verb (WAL-first: a journal failure leaves the
-  // engine untouched and degrades the project), run, republish, maybe
-  // checkpoint. `verb` is null for non-mutating verbs routed through the
-  // write lock (export), which also skip the degraded check.
-  template <typename Fn>
+  // The single-write path: lock, re-check the deadline (time spent queued
+  // counts against it), journal the verb (WAL-first: a journal failure
+  // leaves the engine untouched and degrades the project), run, republish,
+  // maybe checkpoint. Export is not journaled and skips the role and
+  // degraded checks. Its journal record follows the fsync policy per
+  // record; RunWriteBatch ends a run in one barrier instead.
   ServiceResponse RunWrite(ProjectState& project, int64_t deadline_ns,
-                           const engine::ReplayVerb* verb, Fn&& fn);
+                           const ServiceCommand& command);
 
   // Publishes closure.* deltas for the write that just ran. `before` is the
   // engine's closure totals sampled before the verb body. Caller holds
@@ -451,19 +349,24 @@ class IntegrationService {
   // acquisition with deferred journal appends and one commit barrier.
   void RunBatch(ProjectState& project, int64_t deadline_ns,
                 const std::vector<ServiceCommand>& commands,
-                std::vector<ServiceResponse>& out, BatchReadCache* cache);
+                std::vector<ServiceResponse>& out);
   void RunWriteBatch(ProjectState& project, int64_t deadline_ns,
                      const std::vector<ServiceCommand>& commands,
                      size_t begin, size_t end,
                      std::vector<ServiceResponse>& out);
 
-  // Shared verb bodies (caller holds write_mutex / owns the snapshot).
+  // Verb bodies shared by Execute and ExecuteBatch (the caller holds
+  // write_mutex / owns the snapshot). The read body consults and fills the
+  // project's reply memo against `snapshot`; `wire` and the framing are
+  // Execute's (null inside a batch).
   ServiceResponse IntegrateBody(engine::Engine& engine,
                                 std::vector<std::string> schemas);
   ServiceResponse WriteCommandBody(engine::Engine& engine,
                                    const ServiceCommand& command);
-  ServiceResponse ReadCommandBody(const EngineSnapshot& snapshot,
-                                  const ServiceCommand& command);
+  ServiceResponse ReadCommandBody(ProjectState& project,
+                                  const EngineSnapshot& snapshot,
+                                  const ServiceCommand& command,
+                                  std::string* wire, int protocol_version);
 
   ServiceConfig config_;
   const common::Clock* clock_;
@@ -480,6 +383,7 @@ class IntegrationService {
   Counter* enospc_degrades_ = nullptr;
   Counter* stale_epoch_rejects_ = nullptr;
   Counter* cache_hits_ = nullptr;
+  Counter* cache_evictions_ = nullptr;
   Gauge* sessions_live_ = nullptr;
   Gauge* queue_depth_ = nullptr;
   Gauge* epoch_gauge_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ecr/printer.h"
 
 namespace ecrint::ecr {
@@ -96,6 +98,11 @@ struct BadDdlCase {
   const char* label;
   const char* ddl;
 };
+
+// Test listings show a case by its label; without this gtest prints the
+// struct's raw bytes, two pointers that change from build to build and run
+// to run.
+void PrintTo(const BadDdlCase& value, std::ostream* os) { *os << value.label; }
 
 class DdlParserErrorTest : public ::testing::TestWithParam<BadDdlCase> {};
 

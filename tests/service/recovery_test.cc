@@ -18,11 +18,17 @@
 #include "ecr/printer.h"
 #include "engine/engine.h"
 #include "engine/replay.h"
+#include "commands.h"
 #include "service/journal.h"
 #include "service/service.h"
 
 namespace ecrint::service {
 namespace {
+
+using commands::Bare;
+using commands::Define;
+using commands::Equiv;
+using commands::Op;
 
 constexpr const char* kUniversityDdl =
     "schema sc1 { entity Student { Name: char key; GPA: real; } }\n"
@@ -231,20 +237,21 @@ std::vector<engine::ReplayVerb> ScriptVerbs() {
   return verbs;
 }
 
-// Routes a ReplayVerb through the real service entry point for its kind.
+// Routes a ReplayVerb through the real service entry point, as the
+// command a client would send for it.
 ServiceResponse Drive(IntegrationService& service, const std::string& session,
                       const engine::ReplayVerb& verb) {
   switch (verb.kind) {
     case engine::ReplayVerb::Kind::kDefine:
-      return service.Define(session, verb.ddl);
+      return service.Execute(session, Define(verb.ddl));
     case engine::ReplayVerb::Kind::kEquivalence:
-      return service.DeclareEquivalence(session, verb.first_path,
-                                        verb.second_path);
+      return service.Execute(session,
+                             Equiv(verb.first_path, verb.second_path));
     case engine::ReplayVerb::Kind::kRelation:
-      return service.AssertRelation(session, verb.first, verb.type_code,
-                                    verb.second);
+      return service.Execute(
+          session, commands::Assert(verb.first, verb.type_code, verb.second));
     case engine::ReplayVerb::Kind::kIntegrate:
-      return service.Integrate(session, verb.schemas);
+      return service.Execute(session, commands::Integrate(verb.schemas));
   }
   return {};
 }
@@ -406,8 +413,10 @@ TEST(RecoveryTest, ServiceRestartResumesWriting) {
     config.fs = &fs;
     IntegrationService service(config);
     std::string session = service.OpenSession("uni");
-    ASSERT_TRUE(service.Define(session, kUniversityDdl).ok());
-    ServiceResponse exported = service.ExportProject(session);
+    ASSERT_TRUE(
+        service.Execute(session, Define(kUniversityDdl))
+            .ok());
+    ServiceResponse exported = service.Execute(session, Bare(Op::kExport));
     ASSERT_TRUE(exported.ok());
     exported_before = exported.lines.empty() ? "" : exported.lines[0];
   }
@@ -416,14 +425,14 @@ TEST(RecoveryTest, ServiceRestartResumesWriting) {
   config.fs = &fs;
   IntegrationService service(config);
   std::string session = service.OpenSession("uni");
-  ServiceResponse exported = service.ExportProject(session);
+  ServiceResponse exported = service.Execute(session, Bare(Op::kExport));
   ASSERT_TRUE(exported.ok());
   ASSERT_FALSE(exported.lines.empty());
   EXPECT_EQ(exported.lines[0], exported_before);
   // The journal position carried over: new writes land after the old.
   EXPECT_TRUE(service
-                  .DeclareEquivalence(session, {"sc1", "Student", "Name"},
-                                      {"sc2", "Grad", "Name"})
+                  .Execute(session, Equiv({"sc1", "Student", "Name"},
+                                          {"sc2", "Grad", "Name"}))
                   .ok());
   JournalScanResult scan = ScanJournal(*fs.ReadFileToString(kJournalPath));
   ASSERT_EQ(scan.records.size(), 2u);
@@ -464,7 +473,7 @@ TEST(RecoveryFaultTest, AppendFailureAtEveryIndexDegradesThenRecovers) {
     EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
               1);
     // Reads still work against the last published snapshot.
-    EXPECT_TRUE(service.ExportProject(session).ok());
+    EXPECT_TRUE(service.Execute(session, Bare(Op::kExport)).ok());
     ASSERT_TRUE(service.CurrentSnapshot(session) != nullptr);
 
     // Restart on the surviving device: state == serial replay of the
@@ -552,7 +561,7 @@ TEST(RecoveryFaultTest, SyncFailureDegrades) {
   EXPECT_EQ(faulted.error->code, ServiceErrorCode::kUnavailable);
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             1);
-  EXPECT_TRUE(service.ExportProject(session).ok());
+  EXPECT_TRUE(service.Execute(session, Bare(Op::kExport)).ok());
 }
 
 // Disk-full is not device death: ENOSPC on append degrades the project
@@ -587,7 +596,7 @@ TEST(RecoveryFaultTest, EnospcDegradesDistinctlyWithRetryHint) {
   EXPECT_EQ(service.metrics().GetCounter("journal.degraded_flips")->value(),
             1);
   // Degraded is read-only, not down: snapshots still serve.
-  EXPECT_TRUE(service.ExportProject(session).ok());
+  EXPECT_TRUE(service.Execute(session, Bare(Op::kExport)).ok());
 
   // A generic journal failure does NOT claim the disk is full.
   common::MemFs base2;

@@ -1,9 +1,10 @@
-// The read-response cache: part-identity validation against copy-on-write
+// The reply memo: part-identity validation against copy-on-write
 // snapshots (warm across publishes that shared the parts, evicted the
 // moment a part was recomputed), per-protocol wire serialization, the
-// LRU capacity bound, and the router-level fast path (repeat reads are
-// served from cache and counted in cache.hits; any write that touches the
-// answer invalidates).
+// LRU capacity bound, and the memo behind the router (repeat reads are
+// served from it and counted in cache.hits, yet pass admission and are
+// timed like any read; any write that touches the answer invalidates;
+// each project keeps its own).
 
 #include "service/response_cache.h"
 
@@ -71,17 +72,25 @@ TEST(ResponseCacheTest, HitWhenPartsIdentical) {
   std::string key = ResponseCache::Key("rank", {"sc1", "sc2"});
   cache.Insert(key, *snapshot, MakeResponse({"line-1", "line-2"}));
 
-  auto hit = cache.Lookup(key, *snapshot, kProtocolTextVersion);
+  std::optional<ServiceResponse> hit = cache.Lookup(key, *snapshot);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->response.lines, (std::vector<std::string>{"line-1",
-                                                           "line-2"}));
-  // The wire bytes are exactly what a fresh serialization would produce.
-  EXPECT_EQ(hit->wire, FormatResponse(hit->response));
+  EXPECT_EQ(hit->lines, (std::vector<std::string>{"line-1", "line-2"}));
 
-  auto binary_hit = cache.Lookup(key, *snapshot, kProtocolBinaryVersion);
-  ASSERT_TRUE(binary_hit.has_value());
-  EXPECT_EQ(binary_hit->wire, EncodeBinaryResponse(binary_hit->response));
-  EXPECT_NE(binary_hit->wire, hit->wire);
+  // A framed hit hands back exactly the bytes a fresh serialization would
+  // produce, and no copy of the lines.
+  std::string text_wire;
+  std::optional<ServiceResponse> framed =
+      cache.Lookup(key, *snapshot, &text_wire, kProtocolTextVersion);
+  ASSERT_TRUE(framed.has_value());
+  EXPECT_TRUE(framed->ok());
+  EXPECT_TRUE(framed->lines.empty());
+  EXPECT_EQ(text_wire, FormatResponse(*hit));
+
+  std::string binary_wire;
+  ASSERT_TRUE(cache.Lookup(key, *snapshot, &binary_wire, kProtocolBinaryVersion)
+                  .has_value());
+  EXPECT_EQ(binary_wire, EncodeBinaryResponse(*hit));
+  EXPECT_NE(binary_wire, text_wire);
 }
 
 TEST(ResponseCacheTest, StaysWarmAcrossPartSharingPublish) {
@@ -105,7 +114,7 @@ TEST(ResponseCacheTest, StaysWarmAcrossPartSharingPublish) {
   ASSERT_NE(before.get(), after.get());
   ASSERT_EQ(before->catalog.get(), after->catalog.get());
 
-  EXPECT_TRUE(cache.Lookup(key, *after, kProtocolTextVersion).has_value());
+  EXPECT_TRUE(cache.Lookup(key, *after).has_value());
 }
 
 TEST(ResponseCacheTest, EvictedWhenPartRecomputed) {
@@ -128,7 +137,7 @@ TEST(ResponseCacheTest, EvictedWhenPartRecomputed) {
   std::shared_ptr<const EngineSnapshot> after = manager.Current();
   ASSERT_NE(before->equivalence.get(), after->equivalence.get());
 
-  EXPECT_FALSE(cache.Lookup(key, *after, kProtocolTextVersion).has_value());
+  EXPECT_FALSE(cache.Lookup(key, *after).has_value());
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -154,7 +163,7 @@ TEST(ResponseCacheTest, NullnessMismatchIsAMiss) {
   std::shared_ptr<const EngineSnapshot> after = manager.Current();
   ASSERT_NE(after->integration, nullptr);
 
-  EXPECT_FALSE(cache.Lookup(key, *after, kProtocolTextVersion).has_value());
+  EXPECT_FALSE(cache.Lookup(key, *after).has_value());
 }
 
 TEST(ResponseCacheTest, CapEvictsLeastRecentlyUsed) {
@@ -177,12 +186,10 @@ TEST(ResponseCacheTest, CapEvictsLeastRecentlyUsed) {
                MakeResponse({"r"}));
   EXPECT_EQ(cache.size(), ResponseCache::kMaxEntries);
   EXPECT_EQ(evictions->value(), 1);
-  EXPECT_FALSE(cache.Lookup(ResponseCache::Key("rank", {"0"}), *snapshot,
-                            kProtocolTextVersion)
-                   .has_value());
-  EXPECT_TRUE(cache.Lookup(ResponseCache::Key("rank", {"1"}), *snapshot,
-                           kProtocolTextVersion)
-                  .has_value());
+  EXPECT_FALSE(
+      cache.Lookup(ResponseCache::Key("rank", {"0"}), *snapshot).has_value());
+  EXPECT_TRUE(
+      cache.Lookup(ResponseCache::Key("rank", {"1"}), *snapshot).has_value());
   // Re-inserting an existing key at the cap neither evicts nor grows.
   cache.Insert(ResponseCache::Key("rank", {"1"}), *snapshot,
                MakeResponse({"r2"}));
@@ -205,15 +212,13 @@ TEST(ResponseCacheTest, HotKeysSurviveOverflow) {
     cache.Insert(ResponseCache::Key("rank", {"cold" + std::to_string(i)}),
                  *snapshot, MakeResponse({"r"}));
     if (i % 16 == 0) {
-      ASSERT_TRUE(cache.Lookup(hot, *snapshot, kProtocolTextVersion)
-                      .has_value())
+      ASSERT_TRUE(cache.Lookup(hot, *snapshot).has_value())
           << "hot key evicted after " << i << " cold inserts";
     }
   }
-  std::optional<ResponseCache::Hit> hit =
-      cache.Lookup(hot, *snapshot, kProtocolTextVersion);
+  std::optional<ServiceResponse> hit = cache.Lookup(hot, *snapshot);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->response.lines, std::vector<std::string>{"hot answer"});
+  EXPECT_EQ(hit->lines, std::vector<std::string>{"hot answer"});
   EXPECT_EQ(cache.size(), ResponseCache::kMaxEntries);
 }
 
@@ -246,6 +251,9 @@ class RouterCacheTest : public ::testing::Test {
 
   int64_t CacheHits() {
     return service_.metrics().GetCounter("cache.hits")->value();
+  }
+  int64_t CacheEvictions() {
+    return service_.metrics().GetCounter("cache.evictions")->value();
   }
 
   IntegrationService service_;
@@ -306,7 +314,19 @@ TEST_F(RouterCacheTest, ErrorResponsesAreNotCached) {
   EXPECT_EQ(first.substr(0, 3), "err");
   EXPECT_EQ(first, second);
   EXPECT_EQ(CacheHits(), hits_before);
-  EXPECT_EQ(router_.cache().size(), 0u);
+  // Nor did either take a memo slot: a full memo's worth of distinct ok
+  // replies evicts nothing, and only one more starts evicting.
+  for (size_t i = 0; i < ResponseCache::kMaxEntries; ++i) {
+    ASSERT_EQ(router_
+                  .HandleLine("suggest sc1 sc2 0." + std::to_string(100 + i),
+                              &session)
+                  .substr(0, 2),
+              "ok");
+  }
+  EXPECT_EQ(CacheEvictions(), 0);
+  ASSERT_EQ(router_.HandleLine("suggest sc1 sc2 0.99", &session).substr(0, 2),
+            "ok");
+  EXPECT_EQ(CacheEvictions(), 1);
 }
 
 TEST_F(RouterCacheTest, SecondSessionSameProjectHits) {
@@ -359,6 +379,97 @@ TEST_F(RouterCacheTest, BinaryAndTextHitsShareOneEntry) {
   Result<ServiceResponse> text_parsed = ParseResponse(text_reply);
   ASSERT_TRUE(text_parsed.ok());
   EXPECT_EQ(decoded->items[0].lines, text_parsed->lines);
+}
+
+// A hit passes admission like any request: an expired deadline answers
+// TIMEOUT instead of the memoized reply, on either framing.
+TEST_F(RouterCacheTest, ExpiredDeadlineTimesOutACachedRead) {
+  RouterSession session;
+  SeedThrough(&session);
+  ASSERT_EQ(router_.HandleLine("outline", &session).substr(0, 2), "ok");
+  ASSERT_EQ(router_.HandleLine("outline", &session).substr(0, 2), "ok");
+  const int64_t hits = CacheHits();
+
+  ASSERT_EQ(router_.HandleLine("deadline 0", &session).substr(0, 2), "ok");
+  EXPECT_EQ(router_.HandleLine("outline", &session),
+            "err TIMEOUT deadline expired before execution\n.\n");
+
+  RouterSession binary;
+  ASSERT_EQ(router_.HandleLine("open uni", &binary).substr(0, 2), "ok");
+  ASSERT_EQ(router_.HandleLine("deadline 0", &binary).substr(0, 2), "ok");
+  ASSERT_EQ(router_.HandleLine("proto 2", &binary).substr(0, 2), "ok");
+  BinaryRequest outline;
+  outline.verb = WireVerb::kOutline;
+  std::string frame = EncodeBinaryRequest(outline);
+  std::string_view body;
+  size_t consumed = 0;
+  std::string error;
+  ASSERT_EQ(ExtractFrame(frame, &body, &consumed, &error),
+            FrameStatus::kComplete);
+  std::string reply = router_.HandleFrame(body, &binary);
+  std::string_view reply_body;
+  ASSERT_EQ(ExtractFrame(reply, &reply_body, &consumed, &error),
+            FrameStatus::kComplete);
+  Result<DecodedResponse> decoded = DecodeBinaryResponse(reply_body);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_FALSE(decoded->items[0].ok());
+  EXPECT_EQ(decoded->items[0].error->code, ServiceErrorCode::kTimeout);
+
+  EXPECT_EQ(CacheHits(), hits);
+  EXPECT_EQ(service_.metrics().GetCounter("errors.TIMEOUT")->value(), 2);
+  // With the deadline lifted the memo answers again.
+  ASSERT_EQ(router_.HandleLine("deadline default", &session).substr(0, 2),
+            "ok");
+  EXPECT_EQ(router_.HandleLine("outline", &session).substr(0, 2), "ok");
+  EXPECT_EQ(CacheHits(), hits + 1);
+}
+
+// A hit is a timed request of its verb: it lands in latency.<verb> as
+// well as requests.<verb> and cache.hits.
+TEST_F(RouterCacheTest, HitsAreTimedInTheVerbLatency) {
+  RouterSession session;
+  SeedThrough(&session);
+  Histogram* latency = service_.metrics().GetHistogram("latency.rank");
+  Counter* requests = service_.metrics().GetCounter("requests.rank");
+  ASSERT_EQ(router_.HandleLine("rank sc1 sc2", &session).substr(0, 2), "ok");
+  const int64_t timed = latency->count();
+  const int64_t counted = requests->value();
+  const int64_t hits = CacheHits();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(router_.HandleLine("rank sc1 sc2", &session).substr(0, 2),
+              "ok");
+  }
+  EXPECT_EQ(CacheHits(), hits + 3);
+  EXPECT_EQ(requests->value(), counted + 3);
+  EXPECT_EQ(latency->count(), timed + 3);
+}
+
+// Each project has its own memo, so two projects asking the same question
+// in turn do not evict each other's answer.
+TEST_F(RouterCacheTest, ProjectsAlternatingOneReadBothHit) {
+  RouterSession first;
+  SeedThrough(&first);
+  RouterSession second;
+  ASSERT_EQ(router_.HandleLine("open uni2", &second).substr(0, 2), "ok");
+  ASSERT_EQ(router_.HandleLine(std::string("define ") + kInlineDdl, &second)
+                .substr(0, 2),
+            "ok");
+  std::string answer = router_.HandleLine("rank sc1 sc2 zero", &first);
+  std::string other = router_.HandleLine("rank sc1 sc2 zero", &second);
+  ASSERT_EQ(answer.substr(0, 2), "ok");
+  ASSERT_EQ(other.substr(0, 2), "ok");
+  // The projects differ (only the first declared Name equivalent), so a
+  // shared entry would have served one project the other's answer.
+  ASSERT_NE(answer, other);
+
+  const int64_t hits = CacheHits();
+  const int64_t evictions = CacheEvictions();
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(router_.HandleLine("rank sc1 sc2 zero", &first), answer);
+    EXPECT_EQ(router_.HandleLine("rank sc1 sc2 zero", &second), other);
+  }
+  EXPECT_EQ(CacheHits(), hits + 6);
+  EXPECT_EQ(CacheEvictions(), evictions);
 }
 
 }  // namespace

@@ -7,14 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "commands.h"
 #include "service/protocol.h"
 #include "service/router.h"
 
@@ -24,6 +23,13 @@ namespace {
 constexpr const char* kUniversityDdl =
     "schema sc1 { entity Student { Name: char key; GPA: real; } }\n"
     "schema sc2 { entity Grad { Name: char key; GPA: real; } }";
+
+using commands::Assert;
+using commands::Bare;
+using commands::Define;
+using commands::Equiv;
+using commands::Op;
+using commands::Rank;
 
 // A service on a manual clock plus one open session, the fixture every
 // test starts from.
@@ -37,20 +43,22 @@ class ServiceTest : public ::testing::Test {
 
   // Declares the standard equivalences and asserts Student = Grad.
   void SeedProject() {
-    ASSERT_TRUE(service_->Define(session_, kUniversityDdl).ok());
+    ASSERT_TRUE(service_->Execute(session_, Define(kUniversityDdl)).ok());
     ASSERT_TRUE(service_
-                    ->DeclareEquivalence(session_,
-                                         {"sc1", "Student", "Name"},
-                                         {"sc2", "Grad", "Name"})
+                    ->Execute(session_, Equiv({"sc1", "Student", "Name"},
+                                              {"sc2", "Grad", "Name"}))
                     .ok());
     ASSERT_TRUE(service_
-                    ->DeclareEquivalence(session_, {"sc1", "Student", "GPA"},
-                                         {"sc2", "Grad", "GPA"})
+                    ->Execute(session_, Equiv({"sc1", "Student", "GPA"},
+                                              {"sc2", "Grad", "GPA"}))
                     .ok());
-    ASSERT_TRUE(service_
-                    ->AssertRelation(session_, {"sc1", "Student"},
-                                     /*type_code=*/1, {"sc2", "Grad"})
-                    .ok());
+    ASSERT_TRUE(
+        service_->Execute(session_, AssertCommand(/*type_code=*/1)).ok());
+  }
+
+  // assert sc1.Student <type_code> sc2.Grad
+  static ServiceCommand AssertCommand(int type_code) {
+    return Assert({"sc1", "Student"}, type_code, {"sc2", "Grad"});
   }
 
   common::ManualClock clock_;
@@ -61,29 +69,29 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, WriteReadPipeline) {
   SeedProject();
-  ServiceResponse integrated = service_->Integrate(session_, {});
+  ServiceResponse integrated =
+      service_->Execute(session_, Bare(Op::kIntegrate));
   ASSERT_TRUE(integrated.ok());
   EXPECT_FALSE(integrated.lines.empty());
 
-  ServiceResponse ranked = service_->RankedPairs(
-      session_, "sc1", "sc2", core::StructureKind::kObjectClass,
-      /*include_zero=*/true);
+  ServiceResponse ranked =
+      service_->Execute(session_, Rank("sc1", "sc2", /*include_zero=*/true));
   ASSERT_TRUE(ranked.ok());
   ASSERT_EQ(ranked.lines.size(), 1u);
   // Two shared attribute classes across four attribute slots.
   EXPECT_EQ(ranked.lines[0], "sc1.Student sc2.Grad 0.5000");
 
-  ServiceResponse outline = service_->IntegratedOutline(session_);
+  ServiceResponse outline = service_->Execute(session_, Bare(Op::kOutline));
   ASSERT_TRUE(outline.ok());
   EXPECT_FALSE(outline.lines.empty());
 
-  ServiceResponse exported = service_->ExportProject(session_);
+  ServiceResponse exported = service_->Execute(session_, Bare(Op::kExport));
   ASSERT_TRUE(exported.ok());
   EXPECT_EQ(exported.lines[0], "# ecrint project file");
 }
 
 TEST_F(ServiceTest, UnknownSessionIsBadRequest) {
-  ServiceResponse response = service_->IntegratedOutline("s999");
+  ServiceResponse response = service_->Execute("s999", Bare(Op::kOutline));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kBadRequest);
 }
@@ -91,8 +99,8 @@ TEST_F(ServiceTest, UnknownSessionIsBadRequest) {
 TEST_F(ServiceTest, ConflictingAssertionMapsToConflict) {
   SeedProject();
   // Student = Grad already holds; DISJOINT contradicts it.
-  ServiceResponse response = service_->AssertRelation(
-      session_, {"sc1", "Student"}, /*type_code=*/0, {"sc2", "Grad"});
+  ServiceResponse response =
+      service_->Execute(session_, AssertCommand(/*type_code=*/0));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kConflict);
   EXPECT_FALSE(response.error->message.empty());
@@ -102,8 +110,9 @@ TEST_F(ServiceTest, ExpiredDeadlineIsTimeout) {
   SeedProject();
   clock_.AdvanceNs(1'000'000);
   // An absolute deadline already in the past: refused before execution.
-  ServiceResponse response =
-      service_->IntegratedOutline(session_, /*deadline_ns=*/500'000);
+  ServiceCommand outline = Bare(Op::kOutline);
+  outline.deadline_ns = 500'000;
+  ServiceResponse response = service_->Execute(session_, outline);
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kTimeout);
 }
@@ -114,7 +123,7 @@ TEST_F(ServiceTest, QueueDepthZeroShedsEverything) {
   config.queue_depth = 0;
   IntegrationService strict(config);
   std::string session = strict.OpenSession("p");
-  ServiceResponse response = strict.Define(session, kUniversityDdl);
+  ServiceResponse response = strict.Execute(session, Define(kUniversityDdl));
   ASSERT_FALSE(response.ok());
   EXPECT_EQ(response.error->code, ServiceErrorCode::kOverloaded);
 }
@@ -124,31 +133,32 @@ TEST_F(ServiceTest, IdleSessionsAreReaped) {
   EXPECT_EQ(service_->sessions().size(), 2);
   // Activity keeps a session alive across the timeout window...
   clock_.AdvanceNs(config_.session_idle_timeout_ns / 2);
-  ASSERT_TRUE(service_->Define(session_, kUniversityDdl).ok());
+  ASSERT_TRUE(service_->Execute(session_, Define(kUniversityDdl)).ok());
   clock_.AdvanceNs(config_.session_idle_timeout_ns / 2 + 1);
   // ...while `idle` is now past its lease: the next request from anyone
   // reaps it (opportunistic, no timer thread), and its own requests fail.
   ASSERT_TRUE(service_
-                  ->DeclareEquivalence(session_, {"sc1", "Student", "Name"},
-                                       {"sc2", "Grad", "Name"})
+                  ->Execute(session_, Equiv({"sc1", "Student", "Name"},
+                                            {"sc2", "Grad", "Name"}))
                   .ok());
   EXPECT_EQ(service_->sessions().size(), 1);
-  ServiceResponse stale = service_->IntegratedOutline(idle);
+  ServiceResponse stale = service_->Execute(idle, Bare(Op::kOutline));
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.error->code, ServiceErrorCode::kBadRequest);
 }
 
 TEST_F(ServiceTest, SnapshotIsolatesReadersFromWrites) {
   SeedProject();
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
   std::shared_ptr<const EngineSnapshot> held =
       service_->CurrentSnapshot(session_);
   ASSERT_NE(held, nullptr);
 
   // A write after the grab does not disturb the held snapshot.
-  ASSERT_TRUE(
-      service_->Define(session_, "schema sc3 { entity E { A: char key; } }")
-          .ok());
+  ASSERT_TRUE(service_
+                  ->Execute(session_,
+                            Define("schema sc3 { entity E { A: char key; } }"))
+                  .ok());
   EXPECT_EQ(held->catalog->SchemaNames().size(), 2u);
   std::shared_ptr<const EngineSnapshot> fresh =
       service_->CurrentSnapshot(session_);
@@ -159,7 +169,7 @@ TEST_F(ServiceTest, SnapshotIsolatesReadersFromWrites) {
 
 TEST_F(ServiceTest, MetricsCountRequestsAndErrors) {
   SeedProject();
-  (void)service_->IntegratedOutline("s999");  // BAD_REQUEST
+  (void)service_->Execute("s999", Bare(Op::kOutline));  // BAD_REQUEST
   std::string json = service_->metrics().MetricsJson();
   EXPECT_NE(json.find("\"requests.define\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"requests.equiv\": 2"), std::string::npos);
@@ -172,7 +182,7 @@ TEST_F(ServiceTest, ClosureMetricsSurfaceKernelActivity) {
   SeedProject();
   // Integrate seeds schema structure through the closure kernel, so the
   // closure.* instruments must show pops/narrowings and a kernel sample.
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
   std::string json = service_->metrics().MetricsJson();
   EXPECT_NE(json.find("closure.worklist_pops"), std::string::npos);
   EXPECT_NE(json.find("closure.row_compositions"), std::string::npos);
@@ -182,10 +192,8 @@ TEST_F(ServiceTest, ClosureMetricsSurfaceKernelActivity) {
   EXPECT_GT(service_->metrics().GetCounter("closure.worklist_pops")->value(),
             0);
   // A rejected contradiction bumps the conflict counter.
-  ASSERT_FALSE(service_
-                   ->AssertRelation(session_, {"sc1", "Student"},
-                                    /*type_code=*/0, {"sc2", "Grad"})
-                   .ok());
+  ASSERT_FALSE(
+      service_->Execute(session_, AssertCommand(/*type_code=*/0)).ok());
   EXPECT_GT(service_->metrics().GetCounter("closure.conflicts")->value(), 0);
 }
 
@@ -257,29 +265,8 @@ TEST_F(RouterTest, DeadlineZeroExpiresEveryRequest) {
   EXPECT_EQ(Err("outline").code, ServiceErrorCode::kTimeout);
   Ok("deadline default");
   SeedProject();  // direct API writes still work
-  ASSERT_TRUE(service_->Integrate(session_, {}).ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
   EXPECT_FALSE(Ok("outline").empty());
-}
-
-TEST_F(RouterTest, AsyncMatchesSynchronous) {
-  Ok("open uni");
-  Ok("define " + EscapeField(kUniversityDdl));
-  std::string sync = router_.HandleLine("rank sc1 sc2 zero",
-                                        &wire_session_);
-  std::string async;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  router_.HandleLineAsync("rank sc1 sc2 zero", &wire_session_,
-                          [&](std::string response) {
-                            std::lock_guard<std::mutex> lock(mutex);
-                            async = std::move(response);
-                            done = true;
-                            cv.notify_one();
-                          });
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  EXPECT_EQ(sync, async);
 }
 
 TEST_F(RouterTest, DemoteRejectsMalformedEpochs) {

@@ -20,11 +20,18 @@
 #include "core/assertion.h"
 #include "ecr/printer.h"
 #include "engine/engine.h"
+#include "commands.h"
 #include "service/service.h"
 #include "workload/generator.h"
 
 namespace ecrint::service {
 namespace {
+
+using commands::Assert;
+using commands::Bare;
+using commands::Define;
+using commands::Equiv;
+using commands::Op;
 
 // One ground-truth mutation: either an equivalence declare or an
 // assertion.
@@ -70,13 +77,14 @@ void ApplyToService(IntegrationService& service, const std::string& session,
                     const Mutation& mutation) {
   ServiceResponse response;
   if (mutation.is_equivalence) {
-    response = service.DeclareEquivalence(session, mutation.match.first,
-                                          mutation.match.second);
+    response = service.Execute(
+        session, Equiv(mutation.match.first, mutation.match.second));
   } else {
-    response = service.AssertRelation(
-        session, mutation.relation.first,
-        core::AssertionTypeCode(mutation.relation.assertion),
-        mutation.relation.second);
+    response = service.Execute(
+        session,
+        Assert(mutation.relation.first,
+               core::AssertionTypeCode(mutation.relation.assertion),
+               mutation.relation.second));
   }
   ASSERT_TRUE(response.ok()) << (response.error.has_value()
                                      ? response.error->message
@@ -128,7 +136,7 @@ void RunStress(uint64_t seed, int writers, int readers) {
   config.default_deadline_ns = 300'000'000'000;
   IntegrationService service(config);
   std::string writer_session = service.OpenSession("stress");
-  ASSERT_TRUE(service.Define(writer_session, ddl).ok());
+  ASSERT_TRUE(service.Execute(writer_session, Define(ddl)).ok());
 
   size_t schema_count = workload->schema_names.size();
   std::atomic<bool> done{false};
@@ -151,9 +159,10 @@ void RunStress(uint64_t seed, int writers, int readers) {
         ASSERT_EQ(snapshot->catalog->SchemaNames().size(), schema_count);
         size_t a = rng() % schema_count;
         size_t b = (a + 1) % schema_count;
-        ServiceResponse response = service.RankedPairs(
-            session, workload->schema_names[a], workload->schema_names[b],
-            core::StructureKind::kObjectClass, /*include_zero=*/true);
+        ServiceResponse response = service.Execute(
+            session, commands::Rank(workload->schema_names[a],
+                                    workload->schema_names[b],
+                                    /*include_zero=*/true));
         ASSERT_TRUE(response.ok());
         reads.fetch_add(1, std::memory_order_relaxed);
       }
@@ -178,7 +187,7 @@ void RunStress(uint64_t seed, int writers, int readers) {
   for (std::thread& reader : reader_threads) reader.join();
 
   // --- the property: concurrent == serial --------------------------------
-  ASSERT_TRUE(service.Integrate(writer_session, {}).ok());
+  ASSERT_TRUE(service.Execute(writer_session, Bare(Op::kIntegrate)).ok());
   std::shared_ptr<const EngineSnapshot> final_snapshot =
       service.CurrentSnapshot(writer_session);
   ASSERT_NE(final_snapshot, nullptr);

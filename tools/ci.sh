@@ -29,9 +29,11 @@
 #            PASS or FAIL; the suite fails after the last one if any failed.
 #   protocol-compat
 #            ASan build of the wire surfaces, then cross-version protocol
-#            checks: the golden v1 transcript + fuzz/batch/cache suites, the
-#            in-process v2 loadgen (perf_service --smoke, binary + batched
-#            phases), and a live ecrint_serve under BOTH --fsync always and
+#            checks: the golden v1 transcript, the text/binary parity
+#            table and integer-argument checks, the reply-size cap, the
+#            fuzz/batch/reply-memo suites, the in-process v2 loadgen
+#            (perf_service --smoke, binary + batched phases), and a live
+#            ecrint_serve under BOTH --fsync always and
 #            --fsync batch spoken to by a text-v1 client (bash over
 #            /dev/tcp) and a binary-v2 client (python3 socket) on the same
 #            process, finishing with a drain and a v2 checkpoint
@@ -636,9 +638,9 @@ run_protocol_compat_suite() {
     -DCMAKE_EXE_LINKER_FLAGS="${san_flags}" \
     -DCMAKE_SHARED_LINKER_FLAGS="${san_flags}"
 
-  echo "=== protocol-compat: golden v1 transcript + fuzz + batch suites" >&2
+  echo "=== protocol-compat: golden v1 transcript + parity + fuzz + batch suites" >&2
   "${build_dir}/tests/service_test" \
-    --gtest_filter='GoldenTranscript*:ProtocolFuzz*:Protocol*:Batch*:BinaryBatch*:ResponseCache*:RouterCache*'
+    --gtest_filter='GoldenTranscript*:FramingParity*:IntegerArgument*:ReplyCap*:ProtocolFuzz*:Protocol*:Batch*:BinaryBatch*:ResponseCache*:RouterCache*'
 
   echo "=== protocol-compat: in-process v2 loadgen (ASan)" >&2
   "${build_dir}/bench/perf_service" --smoke >/dev/null
