@@ -59,6 +59,8 @@ void AssertionStore::Grow(int min_capacity) {
       static_cast<size_t>(new_capacity) * new_words, 0);
   std::vector<uint64_t> pinned(static_cast<size_t>(new_capacity) * new_words,
                                0);
+  std::vector<uint64_t> excludes_disjoint(
+      static_cast<size_t>(new_capacity) * new_words, 0);
   std::vector<int32_t> direct(cells, -1);
   std::vector<int32_t> deriv_head(cells, -1);
   int n = num_objects();
@@ -70,6 +72,9 @@ void AssertionStore::Grow(int min_capacity) {
                 constrained.begin() + static_cast<size_t>(i) * new_words);
     std::copy_n(pinned_.begin() + static_cast<size_t>(i) * words_, words_,
                 pinned.begin() + static_cast<size_t>(i) * new_words);
+    std::copy_n(excludes_disjoint_.begin() + static_cast<size_t>(i) * words_,
+                words_,
+                excludes_disjoint.begin() + static_cast<size_t>(i) * new_words);
     std::copy_n(direct_.begin() + static_cast<size_t>(i) * capacity_, n,
                 direct.begin() + static_cast<size_t>(i) * new_capacity);
     std::copy_n(deriv_head_.begin() + static_cast<size_t>(i) * capacity_, n,
@@ -78,6 +83,7 @@ void AssertionStore::Grow(int min_capacity) {
   rel_ = std::move(rel);
   constrained_ = std::move(constrained);
   pinned_ = std::move(pinned);
+  excludes_disjoint_ = std::move(excludes_disjoint);
   direct_ = std::move(direct);
   deriv_head_ = std::move(deriv_head);
   queued_.assign(cells, 0);
@@ -100,6 +106,21 @@ int AssertionStore::Intern(const ObjectRef& ref) {
 
 int AssertionStore::AddObject(const ObjectRef& ref) { return Intern(ref); }
 
+void AssertionStore::ForgetObjectsFrom(int n) {
+  for (int id = num_objects() - 1; id >= n; --id) {
+    index_.erase(objects_[id]);
+    rel_[Cell(id, id)] = kAnyRelation;
+  }
+  objects_.resize(n);
+}
+
+void AssertionStore::ReserveLog(size_t more) {
+  size_t wanted = user_assertions_.size() + more;
+  if (wanted > user_assertions_.capacity()) {
+    user_assertions_.reserve(wanted + more / 4);
+  }
+}
+
 void AssertionStore::BeginTxn() {
   undo_.clear();
   deriv_pool_mark_ = deriv_pool_.size();
@@ -117,7 +138,7 @@ void AssertionStore::Rollback() {
     int b = static_cast<int>(it->cell % capacity_);
     rel_[it->cell] = it->rel;
     rel_[Cell(b, a)] = Converse(it->rel);
-    SetPinned(a, b, it->rel);
+    IndexPair(a, b, it->rel);
     if (it->rel == kAnyRelation) {
       ClearConstrainedBit(a, b);
       ClearConstrainedBit(b, a);
@@ -140,7 +161,7 @@ bool AssertionStore::Narrow(int x, int y, RelationSet refined, int via) {
   undo_.push_back({cn, rel_[cn], direct_[cn], deriv_head_[cn]});
   rel_[Cell(x, y)] = refined;
   rel_[Cell(y, x)] = Converse(refined);
-  SetPinned(x, y, refined);
+  IndexPair(x, y, refined);
   SetConstrainedBit(x, y);
   SetConstrainedBit(y, x);
   if (via >= 0) {
@@ -158,7 +179,14 @@ bool AssertionStore::Narrow(int x, int y, RelationSet refined, int via) {
 int AssertionStore::SweepRow(int x, int y, const RelationSet* table) {
   RelationSet* row_x = &rel_[static_cast<size_t>(x) * capacity_];
   const RelationSet* row_y = &rel_[static_cast<size_t>(y) * capacity_];
-  const uint64_t* bits_y = &constrained_[static_cast<size_t>(y) * words_];
+  // When the edge composes with disjointness to kAnyRelation, so does every
+  // column whose set admits disjointness (the compose table is monotone):
+  // only columns that exclude it can narrow.
+  const std::vector<uint64_t>& columns =
+      table[MaskOf(SetRelation::kDisjoint)] == kAnyRelation
+          ? excludes_disjoint_
+          : constrained_;
+  const uint64_t* bits_y = &columns[static_cast<size_t>(y) * words_];
   int64_t visited = 0;
   // No k == x / k == y guards are needed in either variant: for k == x the
   // current value is kEqual and Compose(r, Converse(r)) ⊇ {=}, and for
@@ -166,11 +194,12 @@ int AssertionStore::SweepRow(int x, int y, const RelationSet* table) {
 #if defined(__SSSE3__)
   // 16 columns per step: pshufb performs the 32-byte compose-table lookup
   // in-register (two 16-entry shuffles blended on bit 4 of the index).
-  // Columns with no constrained bit hold kAnyRelation and the table maps
-  // kAnyRelation rows to kAnyRelation, so lanes never need masking — a
-  // block is touched at all only if its 16-bit slice of the bitmap is
-  // nonzero, and only lanes whose AND actually changed take the scalar
-  // Narrow path. Blocks never cross the row edge (capacity_ % 64 == 0).
+  // Columns without a bit in the scanned bitmap compose to kAnyRelation
+  // (unconstrained, or admitting disjointness under the skip), so lanes
+  // never need masking — a block is touched at all only if its 16-bit
+  // slice of the bitmap is nonzero, and only lanes whose AND actually
+  // changed take the scalar Narrow path. Blocks never cross the row edge
+  // (capacity_ % 64 == 0).
   const __m128i t_lo =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(table));
   const __m128i t_hi =
@@ -298,25 +327,18 @@ ConflictReport AssertionStore::ReportFor(int ci, int cj) const {
   return report;
 }
 
-Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
-  last_conflict_.reset();
-  int i = Intern(assertion.first);
-  int j = Intern(assertion.second);
+std::pair<int, int> AssertionStore::Apply(int i, int j,
+                                          const Assertion& assertion) {
   RelationSet mask = MaskOf(RelationOf(assertion.type));
 
-  // Fast-path direct contradiction: report without touching state.
-  RelationSet current = rel_[Cell(i, j)];
-  if ((current & mask) == kNoRelation) {
+  // Fast-path direct contradiction: fail without touching state.
+  if ((rel_[Cell(i, j)] & mask) == kNoRelation) {
     ++stats_.conflicts;
-    ConflictReport report = ReportFor(i, j);
-    report.attempted = assertion;
-    last_conflict_ = std::move(report);
-    return ConflictError(last_conflict_->ToString());
+    return {i, j};
   }
 
   // Transactional apply: narrow the pair, drain the worklist, and roll the
   // undo log back on contradiction.
-  int64_t t0 = NowNs();
   BeginTxn();
   int32_t assertion_id = static_cast<int32_t>(user_assertions_.size());
   user_assertions_.push_back(assertion);
@@ -335,7 +357,7 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   rel_[Cell(b, a)] = Converse(refined);
   direct_[cn] = assertion_id;
   if (a != b) {
-    SetPinned(a, b, refined);
+    IndexPair(a, b, refined);
     SetConstrainedBit(a, b);
     SetConstrainedBit(b, a);
     if (changed && !queued_[cn]) {
@@ -345,23 +367,42 @@ Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   }
 
   auto [ci, cj] = Drain();
-  stats_.kernel_ns += NowNs() - t0;
   if (ci >= 0) {
     ++stats_.conflicts;
     Rollback();
     user_assertions_.pop_back();
     if (disjoint_integrable) disjoint_integrable_.pop_back();
-    ConflictReport report = ReportFor(ci, cj);  // post-rollback == before
-    report.attempted = assertion;
-    last_conflict_ = std::move(report);
-    return ConflictError(last_conflict_->ToString());
+    return {ci, cj};  // reported post-rollback, i.e. as before the attempt
   }
   CommitTxn();
+  return {-1, -1};
+}
 
+Result<ConflictReport> AssertionStore::Conflict(int ci, int cj,
+                                                const Assertion& attempted) {
+  ConflictReport report = ReportFor(ci, cj);
+  report.attempted = attempted;
+  last_conflict_ = std::move(report);
+  return ConflictError(last_conflict_->ToString());
+}
+
+ConflictReport AssertionStore::Accepted(const Assertion& assertion, int i,
+                                        int j) const {
   ConflictReport ok;  // empty report signals success
   ok.attempted = assertion;
   ok.existing = rel_[Cell(i, j)];
   return ok;
+}
+
+Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
+  last_conflict_.reset();
+  int i = Intern(assertion.first);
+  int j = Intern(assertion.second);
+  int64_t t0 = NowNs();
+  auto [ci, cj] = Apply(i, j, assertion);
+  stats_.kernel_ns += NowNs() - t0;
+  if (ci >= 0) return Conflict(ci, cj, assertion);
+  return Accepted(assertion, i, j);
 }
 
 Result<ConflictReport> AssertionStore::Assert(const ObjectRef& first,
@@ -529,17 +570,6 @@ int AssertionStore::num_clusters() const {
   return clusters;
 }
 
-Result<ConflictReport> AssertionStore::AssertSequential(
-    const std::vector<Assertion>& batch) {
-  ConflictReport last_ok;
-  for (const Assertion& assertion : batch) {
-    Result<ConflictReport> r = Assert(assertion);
-    if (!r.ok()) return r;
-    last_ok = std::move(*r);
-  }
-  return last_ok;
-}
-
 void AssertionStore::MergeComponent(
     const AssertionStore& scratch, const std::vector<int>& object_map,
     const std::vector<int32_t>& assertion_map) {
@@ -556,7 +586,7 @@ void AssertionStore::MergeComponent(
       int mj = object_map[j];
       rel_[Cell(mi, mj)] = v;
       rel_[Cell(mj, mi)] = Converse(v);
-      SetPinned(mi, mj, v);
+      IndexPair(mi, mj, v);
       if (v != kAnyRelation) {
         SetConstrainedBit(mi, mj);
         SetConstrainedBit(mj, mi);
@@ -587,19 +617,27 @@ void AssertionStore::MergeComponent(
   deriv_pool_mark_ = deriv_pool_.size();
 }
 
-Result<ConflictReport> AssertionStore::AssertBatch(
-    const std::vector<Assertion>& batch, common::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1 || has_constraints_ ||
-      batch.size() <= 1) {
-    return AssertSequential(batch);
+Result<ConflictReport> AssertionStore::ApplyInOrder(
+    const std::vector<Assertion>& batch, const std::vector<int>& ids,
+    int objects_before) {
+  for (size_t k = 0; k < batch.size(); ++k) {
+    auto [ci, cj] = Apply(ids[2 * k], ids[2 * k + 1], batch[k]);
+    if (ci < 0) continue;
+    // The Assert() loop stops here, having registered only the endpoints
+    // of batch[0..k]; ids grew in that order, so they are a prefix.
+    int reached = objects_before;
+    for (size_t p = 0; p <= 2 * k + 1; ++p) {
+      reached = std::max(reached, ids[p] + 1);
+    }
+    ForgetObjectsFrom(reached);
+    return Conflict(ci, cj, batch[k]);
   }
+  return Accepted(batch.back(), ids[ids.size() - 2], ids.back());
+}
 
-  // Intern every endpoint up front, in batch order — the same ids a
-  // sequential replay would assign, so the merged store is bit-identical.
-  for (const Assertion& a : batch) {
-    Intern(a.first);
-    Intern(a.second);
-  }
+bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
+                                     const std::vector<int>& ids,
+                                     common::ThreadPool& pool) {
   int n = num_objects();
 
   // Connected components of the constraint graph: existing constrained
@@ -624,100 +662,117 @@ Result<ConflictReport> AssertionStore::AssertBatch(
       }
     }
   }
-  for (const Assertion& a : batch) {
-    parent[find(index_.at(a.first))] = find(index_.at(a.second));
+  for (size_t p = 0; p < ids.size(); p += 2) {
+    parent[find(ids[p])] = find(ids[p + 1]);
   }
 
   // Group batch assertions by component root.
-  std::unordered_map<int, int> group_of_root;
-  std::vector<std::vector<int>> groups;
-  for (size_t bi = 0; bi < batch.size(); ++bi) {
-    int root = find(index_.at(batch[bi].first));
-    auto [it, inserted] =
-        group_of_root.try_emplace(root, static_cast<int>(groups.size()));
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(static_cast<int>(bi));
+  std::vector<int> group_of_root(n, -1);
+  int groups = 0;
+  for (size_t p = 0; p < ids.size(); p += 2) {
+    int& group = group_of_root[find(ids[p])];
+    if (group < 0) group = groups++;
   }
-  if (groups.size() <= 1) return AssertSequential(batch);
-
-  int64_t t0 = NowNs();
-  ++stats_.batch_parallel_runs;
-  int32_t base_id = static_cast<int32_t>(user_assertions_.size());
+  if (groups <= 1) return false;
 
   // Each group's replay sequence: the existing user assertions of its
   // component (by original id), then its batch slice — in global order.
   struct Task {
-    std::vector<Assertion> replay;
-    std::vector<int32_t> assertion_map;  // scratch assertion id -> main id
+    std::vector<const Assertion*> replay;
+    std::vector<int32_t> assertion_map;  // scratch id -> this-store id
+    size_t existing = 0;  // replay entries already in this store's log
+    ClosureStats before_batch;  // scratch counters after those
     AssertionStore scratch;
     bool conflicted = false;
   };
-  std::vector<Task> tasks(groups.size());
+  std::vector<Task> tasks(groups);
   for (size_t ai = 0; ai < user_assertions_.size(); ++ai) {
-    int root = find(index_.at(user_assertions_[ai].first));
-    auto it = group_of_root.find(root);
-    if (it == group_of_root.end()) continue;  // component untouched by batch
-    Task& task = tasks[it->second];
-    task.replay.push_back(user_assertions_[ai]);
+    const Assertion& a = user_assertions_[ai];
+    int group = group_of_root[find(IdOf(a.first))];
+    if (group < 0) continue;  // component untouched by batch
+    Task& task = tasks[group];
+    task.replay.push_back(&a);
     task.assertion_map.push_back(static_cast<int32_t>(ai));
+    ++task.existing;
   }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (int bi : groups[g]) {
-      tasks[g].replay.push_back(batch[bi]);
-      tasks[g].assertion_map.push_back(base_id + bi);
+  int32_t base_id = static_cast<int32_t>(user_assertions_.size());
+  for (size_t k = 0; k < batch.size(); ++k) {
+    Task& task = tasks[group_of_root[find(ids[2 * k])]];
+    task.replay.push_back(&batch[k]);
+    task.assertion_map.push_back(base_id + static_cast<int32_t>(k));
+  }
+
+  pool.ParallelFor(0, groups, 1, [&tasks](int lo, int hi) {
+    for (int g = lo; g < hi; ++g) {
+      Task& task = tasks[g];
+      for (size_t r = 0; r < task.replay.size(); ++r) {
+        if (r == task.existing) task.before_batch = task.scratch.stats_;
+        if (!task.scratch.Assert(*task.replay[r]).ok()) {
+          task.conflicted = true;
+          break;
+        }
+      }
     }
-  }
-
-  pool->ParallelFor(0, static_cast<int>(tasks.size()), 1,
-                    [&tasks](int lo, int hi) {
-                      for (int g = lo; g < hi; ++g) {
-                        for (const Assertion& a : tasks[g].replay) {
-                          if (!tasks[g].scratch.Assert(a).ok()) {
-                            tasks[g].conflicted = true;
-                            break;
-                          }
-                        }
-                      }
-                    });
-
+  });
+  // Some cluster contradicts: the in-order replay on this (untouched)
+  // store reproduces the exact first-conflict report and prefix state.
   for (const Task& task : tasks) {
-    if (!task.conflicted) continue;
-    // Some cluster contradicts. Sequential replay on the (untouched) main
-    // store reproduces the exact first-conflict report and prefix state the
-    // plain Assert() loop would have produced.
-    stats_.kernel_ns += NowNs() - t0;
-    return AssertSequential(batch);
+    if (task.conflicted) return false;
   }
 
   // Merge: component closures are independent (composition through an
   // unconstrained edge derives nothing), so copying each scratch matrix
   // over its component yields the sequential result.
-  for (size_t g = 0; g < tasks.size(); ++g) {
-    const AssertionStore& scratch = tasks[g].scratch;
+  // Only the batch's share of each scratch's work counts: re-closing the
+  // existing assertions repeats work this store already counted.
+  ++stats_.batch_parallel_runs;
+  for (const Task& task : tasks) {
+    const AssertionStore& scratch = task.scratch;
     std::vector<int> object_map(scratch.num_objects());
     for (int s = 0; s < scratch.num_objects(); ++s) {
-      object_map[s] = index_.at(scratch.objects_[s]);
+      object_map[s] = IdOf(scratch.objects_[s]);
     }
-    MergeComponent(scratch, object_map, tasks[g].assertion_map);
-    stats_.worklist_pops += scratch.stats_.worklist_pops;
-    stats_.row_compositions += scratch.stats_.row_compositions;
-    stats_.narrowings += scratch.stats_.narrowings;
+    MergeComponent(scratch, object_map, task.assertion_map);
+    const ClosureStats& done = scratch.stats_;
+    const ClosureStats& replayed = task.before_batch;
+    stats_.worklist_pops += done.worklist_pops - replayed.worklist_pops;
+    stats_.row_compositions +=
+        done.row_compositions - replayed.row_compositions;
+    stats_.narrowings += done.narrowings - replayed.narrowings;
   }
   user_assertions_.insert(user_assertions_.end(), batch.begin(), batch.end());
-  for (const Assertion& a : batch) {
-    if (a.type == AssertionType::kDisjointIntegrable) {
-      disjoint_integrable_.push_back({index_.at(a.first), index_.at(a.second)});
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (batch[k].type == AssertionType::kDisjointIntegrable) {
+      disjoint_integrable_.push_back({ids[2 * k], ids[2 * k + 1]});
     }
   }
-  last_conflict_.reset();
-  stats_.kernel_ns += NowNs() - t0;
+  return true;
+}
 
-  ConflictReport ok;
-  if (!batch.empty()) {
-    ok.attempted = batch.back();
-    ok.existing = PossibleRelations(batch.back().first, batch.back().second);
+Result<ConflictReport> AssertionStore::AssertBatch(
+    const std::vector<Assertion>& batch, common::ThreadPool* pool) {
+  if (batch.empty()) return ConflictReport{};
+  last_conflict_.reset();
+  int64_t t0 = NowNs();
+  // Intern every endpoint once, in batch order — the ids an Assert() loop
+  // would assign — and apply by id from here on.
+  const int objects_before = num_objects();
+  std::vector<int> ids;
+  ids.reserve(2 * batch.size());
+  for (const Assertion& assertion : batch) {
+    ids.push_back(Intern(assertion.first));
+    ids.push_back(Intern(assertion.second));
   }
-  return ok;
+  ReserveLog(batch.size());
+  Result<ConflictReport> result = ConflictReport{};
+  if (pool != nullptr && pool->size() > 1 && !has_constraints_ &&
+      batch.size() > 1 && AssertClustered(batch, ids, *pool)) {
+    result = Accepted(batch.back(), ids[ids.size() - 2], ids.back());
+  } else {
+    result = ApplyInOrder(batch, ids, objects_before);
+  }
+  stats_.kernel_ns += NowNs() - t0;
+  return result;
 }
 
 }  // namespace ecrint::core

@@ -80,7 +80,12 @@ struct ClosureStats {
 // popped edge (a,b) refines row a against row b (and row b against row a)
 // through the precomputed 32×32 kComposeSetTable — Compose(x, kAnyRelation)
 // is always kAnyRelation, so sweeps skip unconstrained columns wholesale by
-// scanning the bitmap words. Provenance is recorded per narrowing as the
+// scanning the bitmap words. A second bitmap marks the columns whose set
+// excludes disjointness: when the popped edge itself admits disjointness,
+// Compose(edge, {disjoint}) is already kAnyRelation, so by monotonicity
+// every column that admits disjointness composes to kAnyRelation too and
+// the sweep scans only that second, much sparser bitmap (seeded schemas
+// are mostly pairwise disjoint). Provenance is recorded per narrowing as the
 // intermediate vertex whose two edges composed (a derivation DAG), and
 // Screen-9 support sets are reconstructed on demand by walking that DAG to
 // the user assertions — no per-cell support vectors on the hot path.
@@ -140,13 +145,16 @@ class AssertionStore {
                                 const ObjectRef& second, AssertionType type);
 
   // Asserts `batch` in order, stopping at (and reporting) the first
-  // conflict exactly as the equivalent Assert() loop would. When the batch
-  // spans several connected components of the (store ∪ batch) constraint
-  // graph and a pool is supplied, each cluster's closure runs on its own
-  // worker over a scratch store and the results are merged — closure never
-  // crosses a component boundary (composing with kAnyRelation derives
-  // nothing), so the merged matrix, user-assertion log, and derivation
-  // records are identical to the sequential replay. This is the bulk entry
+  // conflict exactly as the equivalent Assert() loop would: same log, same
+  // matrix, same derivation records, same registered objects, same report.
+  // Each endpoint is interned once up front and the assertions are applied
+  // by id, with a report built only for the one returned (the last success
+  // or the first conflict). When the batch spans several connected
+  // components of the (store ∪ batch) constraint graph and a pool is
+  // supplied, each cluster's closure runs on its own worker over a scratch
+  // store and the results are merged — closure never crosses a component
+  // boundary (composing with kAnyRelation derives nothing), so the merged
+  // state is identical to the sequential replay. This is the bulk entry
   // point for integration seeding and full rebuilds.
   Result<ConflictReport> AssertBatch(const std::vector<Assertion>& batch,
                                      common::ThreadPool* pool = nullptr);
@@ -213,6 +221,18 @@ class AssertionStore {
 
   // Closure kernel work counters (lifetime totals for this store).
   const ClosureStats& closure_stats() const { return stats_; }
+  // Zeroes the counters, so a copy that is about to be extended counts
+  // only its own work rather than its origin's again.
+  void ClearClosureStats() { stats_ = {}; }
+
+  // Whether bit b of row a of the disjointness-exclusion index is set: the
+  // sweep skip's bitmap, which must equal "a != b and RelationAt(a, b)
+  // excludes disjointness" after every operation.
+  bool IndexedExcludesDisjoint(int a, int b) const {
+    return (excludes_disjoint_[static_cast<size_t>(a) * words_ + (b >> 6)] >>
+            (b & 63)) &
+           1;
+  }
 
   // Number of connected components among objects that carry at least one
   // constrained pair — the independent clusters the batch kernel can close
@@ -256,14 +276,21 @@ class AssertionStore {
     constrained_[static_cast<size_t>(i) * words_ + (j >> 6)] &=
         ~(uint64_t{1} << (j & 63));
   }
-  // Keeps the pinned-pair index in step with a write of `rel` to pair
-  // (i,j); every write to rel_ off the diagonal goes through here.
-  void SetPinned(int i, int j, RelationSet rel) {
-    int lo = std::min(i, j);
-    int hi = std::max(i, j);
-    uint64_t& word = pinned_[static_cast<size_t>(lo) * words_ + (hi >> 6)];
-    uint64_t bit = uint64_t{1} << (hi & 63);
-    word = PinnedNonDisjoint(rel) ? word | bit : word & ~bit;
+  // Keeps the pinned-pair index and the disjointness-exclusion bitmap in
+  // step with a write of `rel` to pair (i,j); every write to rel_ off the
+  // diagonal goes through here.
+  void IndexPair(int i, int j, RelationSet rel) {
+    if (i == j) return;
+    SetBit(pinned_, std::min(i, j), std::max(i, j), PinnedNonDisjoint(rel));
+    // Converse keeps disjointness, so the bit is the same both ways.
+    bool excludes = !Contains(rel, SetRelation::kDisjoint);
+    SetBit(excludes_disjoint_, i, j, excludes);
+    SetBit(excludes_disjoint_, j, i, excludes);
+  }
+  void SetBit(std::vector<uint64_t>& bitmap, int i, int j, bool on) {
+    uint64_t& word = bitmap[static_cast<size_t>(i) * words_ + (j >> 6)];
+    uint64_t bit = uint64_t{1} << (j & 63);
+    word = on ? word | bit : word & ~bit;
   }
 
   void BeginTxn();
@@ -292,8 +319,32 @@ class AssertionStore {
 
   ConflictReport ReportFor(int ci, int cj) const;
 
-  Result<ConflictReport> AssertSequential(
-      const std::vector<Assertion>& batch);
+  // Assert() on interned ids without building a report: returns the pair
+  // that became empty (the store is then unchanged), or {-1,-1}.
+  std::pair<int, int> Apply(int i, int j, const Assertion& assertion);
+  // The failure Assert() returns for a conflict on pair (ci,cj).
+  Result<ConflictReport> Conflict(int ci, int cj, const Assertion& attempted);
+  // The report Assert() returns when `assertion` on ids (i,j) is accepted.
+  ConflictReport Accepted(const Assertion& assertion, int i, int j) const;
+  // Leaves room for `more` log entries plus a quarter as headroom, so the
+  // first Assert after a bulk load does not move the whole log.
+  void ReserveLog(size_t more);
+  // Unregisters objects [n, num_objects()), which no pair constrains.
+  void ForgetObjectsFrom(int n);
+
+  // The batch applied in order by its interned endpoint ids (ids[2k],
+  // ids[2k+1]); on a conflict, forgets the endpoints the Assert() loop
+  // would not have registered yet (ids were interned in batch order, from
+  // `objects_before` on).
+  Result<ConflictReport> ApplyInOrder(const std::vector<Assertion>& batch,
+                                      const std::vector<int>& ids,
+                                      int objects_before);
+  // The clustered path: closes each connected component the batch touches
+  // on its own worker and merges the results. Returns false, with the
+  // store as it was, when the batch joins one component only or some
+  // component conflicts; the caller then applies the batch in order.
+  bool AssertClustered(const std::vector<Assertion>& batch,
+                       const std::vector<int>& ids, common::ThreadPool& pool);
   // Copies every constrained pair of `scratch` into this store, remapping
   // object ids via `object_map` (scratch id -> this-store id) and user
   // assertion ids via `assertion_map`.
@@ -314,6 +365,9 @@ class AssertionStore {
   std::vector<uint64_t> constrained_;  // bit j of row i: rel_[i][j] != ANY
   // Bit j of row i, for i < j only: PinnedNonDisjoint(rel_[i][j]).
   std::vector<uint64_t> pinned_;
+  // Bit j of row i, i != j: rel_[i][j] excludes disjointness (so a subset
+  // of constrained_). SweepRow's skip reads it.
+  std::vector<uint64_t> excludes_disjoint_;
   std::vector<int32_t> direct_;        // latest direct assertion id, -1 none
   std::vector<int32_t> deriv_head_;    // head of DerivRecord chain, -1 none
   std::vector<DerivRecord> deriv_pool_;

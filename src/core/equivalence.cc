@@ -1,6 +1,8 @@
 #include "core/equivalence.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
 #include <utility>
 
 namespace ecrint::core {
@@ -15,23 +17,18 @@ size_t HashRef(const ObjectRef& ref) { return ObjectRefHash{}(ref); }
 
 }  // namespace
 
-int EquivalenceMap::Register(ecr::AttributePath path,
-                             const ecr::Attribute& attribute,
-                             size_t hash) {
-  int index = static_cast<int>(entries_.size());
-  entries_.push_back(
-      Entry{std::move(path), attribute.domain, attribute.is_key});
-  parent_.push_back(index);
-  next_.push_back(index);  // a singleton ring
-  class_size_.push_back(1);
-  min_id_.push_back(index);
-  attribute_index_.Insert(hash, index, entries_.size());
-  return index;
+const std::shared_ptr<const EquivalenceMap::Registry>&
+EquivalenceMap::EmptyRegistry() {
+  // Never destroyed, so maps destroyed during static teardown can still
+  // release their reference.
+  static const auto* empty =
+      new std::shared_ptr<const Registry>(std::make_shared<Registry>());
+  return *empty;
 }
 
 Result<EquivalenceMap> EquivalenceMap::Create(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas) {
-  EquivalenceMap map;
+  auto registry = std::make_shared<Registry>();
   // Pre-size everything; registration is append-only.
   size_t total_attributes = 0;
   size_t total_structures = 0;
@@ -46,34 +43,36 @@ Result<EquivalenceMap> EquivalenceMap::Create(
       total_attributes += schema->relationship(i).attributes.size();
     }
   }
-  map.entries_.reserve(total_attributes);
-  map.parent_.reserve(total_attributes);
-  map.next_.reserve(total_attributes);
-  map.class_size_.reserve(total_attributes);
-  map.min_id_.reserve(total_attributes);
-  map.attribute_index_.Reserve(total_attributes);
-  map.structures_.reserve(total_structures);
-  map.structure_index_.Reserve(total_structures);
+  std::vector<Entry>& entries = registry->entries;
+  entries.reserve(total_attributes);
+  registry->attribute_index.Reserve(total_attributes);
+  registry->structures.reserve(total_structures);
+  registry->structure_index.Reserve(total_structures);
 
   // A structure's attributes are the contiguous id range registered here,
   // so the per-structure bookkeeping is one StructureEntry, no id vector.
-  auto register_structure = [&map](const std::string& schema,
-                                   const std::string& structure,
-                                   const std::vector<ecr::Attribute>& attrs) {
+  auto register_structure = [&registry, &entries](
+                                const std::string& schema,
+                                const std::string& structure,
+                                const std::vector<ecr::Attribute>& attrs) {
     if (attrs.empty()) return;
-    int begin = static_cast<int>(map.entries_.size());
+    int begin = static_cast<int>(entries.size());
     size_t prefix = ecr::AttributePathHash::PrefixHash(schema, structure);
     for (const ecr::Attribute& a : attrs) {
-      map.Register({schema, structure, a.name}, a,
-                   ecr::AttributePathHash::WithAttribute(prefix, a.name));
+      int index = static_cast<int>(entries.size());
+      entries.push_back(
+          Entry{{schema, structure, a.name}, a.domain, a.is_key});
+      registry->attribute_index.Insert(
+          ecr::AttributePathHash::WithAttribute(prefix, a.name), index,
+          entries.size());
     }
-    int end = static_cast<int>(map.entries_.size());
+    int end = static_cast<int>(entries.size());
     ObjectRef ref{schema, structure};
     size_t hash = HashRef(ref);
-    map.structures_.push_back({std::move(ref), begin, end});
-    map.structure_index_.Insert(
-        hash, static_cast<int>(map.structures_.size()) - 1,
-        map.structures_.size());
+    registry->structures.push_back({std::move(ref), begin, end});
+    registry->structure_index.Insert(
+        hash, static_cast<int>(registry->structures.size()) - 1,
+        registry->structures.size());
   };
   for (const std::string& name : schemas) {
     ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
@@ -87,6 +86,17 @@ Result<EquivalenceMap> EquivalenceMap::Create(
       register_structure(name, rel.name, rel.attributes);
     }
   }
+
+  // Every attribute starts as a singleton class: its own root, ring and
+  // minimum.
+  EquivalenceMap map;
+  size_t n = entries.size();
+  map.parent_.resize(n);
+  std::iota(map.parent_.begin(), map.parent_.end(), 0);
+  map.next_ = map.parent_;
+  map.min_id_ = map.parent_;
+  map.class_size_.assign(n, 1);
+  map.registry_ = std::move(registry);
   return map;
 }
 
@@ -99,8 +109,10 @@ int EquivalenceMap::Find(int index) const {
 }
 
 Result<int> EquivalenceMap::IndexOf(const ecr::AttributePath& path) const {
-  int id = attribute_index_.Find(
-      HashPath(path), [&](int i) { return entries_[i].path == path; });
+  const Registry& registry = *registry_;
+  int id = registry.attribute_index.Find(HashPath(path), [&](int i) {
+    return registry.entries[i].path == path;
+  });
   if (id < 0) {
     return NotFoundError("attribute '" + path.ToString() +
                          "' is not registered");
@@ -109,19 +121,23 @@ Result<int> EquivalenceMap::IndexOf(const ecr::AttributePath& path) const {
 }
 
 int EquivalenceMap::StructureIndexOf(const ObjectRef& ref) const {
-  return structure_index_.Find(
-      HashRef(ref), [&](int i) { return structures_[i].ref == ref; });
+  const Registry& registry = *registry_;
+  return registry.structure_index.Find(HashRef(ref), [&](int i) {
+    return registry.structures[i].ref == ref;
+  });
 }
 
 Status EquivalenceMap::DeclareEquivalent(const ecr::AttributePath& a,
                                          const ecr::AttributePath& b) {
   ECRINT_ASSIGN_OR_RETURN(int ia, IndexOf(a));
   ECRINT_ASSIGN_OR_RETURN(int ib, IndexOf(b));
-  if (!entries_[ia].domain.Comparable(entries_[ib].domain)) {
-    return FailedPreconditionError(
-        "domains of '" + a.ToString() + "' (" +
-        entries_[ia].domain.ToString() + ") and '" + b.ToString() + "' (" +
-        entries_[ib].domain.ToString() + ") are not comparable");
+  const ecr::Domain& da = registry_->entries[ia].domain;
+  const ecr::Domain& db = registry_->entries[ib].domain;
+  if (!da.Comparable(db)) {
+    return FailedPreconditionError("domains of '" + a.ToString() + "' (" +
+                                   da.ToString() + ") and '" + b.ToString() +
+                                   "' (" + db.ToString() +
+                                   ") are not comparable");
   }
   int ra = Find(ia);
   int rb = Find(ib);
@@ -198,17 +214,15 @@ int EquivalenceMap::EquivalentAttributeCount(const ObjectRef& a,
   int sa = StructureIndexOf(a);
   int sb = StructureIndexOf(b);
   if (sa < 0 || sb < 0) return 0;
+  const StructureEntry& ea = registry_->structures[sa];
+  const StructureEntry& eb = registry_->structures[sb];
   // Merge the two sorted root lists; a root shared k_a · k_b times counts
   // k_a · k_b equivalent pairs. O((|A|+|B|) log) instead of O(|A|·|B|).
   std::vector<int> roots_a, roots_b;
-  roots_a.reserve(structures_[sa].end - structures_[sa].begin);
-  roots_b.reserve(structures_[sb].end - structures_[sb].begin);
-  for (int i = structures_[sa].begin; i < structures_[sa].end; ++i) {
-    roots_a.push_back(Find(i));
-  }
-  for (int j = structures_[sb].begin; j < structures_[sb].end; ++j) {
-    roots_b.push_back(Find(j));
-  }
+  roots_a.reserve(ea.end - ea.begin);
+  roots_b.reserve(eb.end - eb.begin);
+  for (int i = ea.begin; i < ea.end; ++i) roots_a.push_back(Find(i));
+  for (int j = eb.begin; j < eb.end; ++j) roots_b.push_back(Find(j));
   std::sort(roots_a.begin(), roots_a.end());
   std::sort(roots_b.begin(), roots_b.end());
   int count = 0;
@@ -234,17 +248,17 @@ std::vector<AttributeClassEntry> EquivalenceMap::EntriesFor(
   std::vector<AttributeClassEntry> out;
   int s = StructureIndexOf(object);
   if (s < 0) return out;
-  out.reserve(structures_[s].end - structures_[s].begin);
-  for (int index = structures_[s].begin; index < structures_[s].end;
-       ++index) {
-    out.push_back({entries_[index].path, min_id_[Find(index)] + 1});
+  const StructureEntry& entry = registry_->structures[s];
+  out.reserve(entry.end - entry.begin);
+  for (int index = entry.begin; index < entry.end; ++index) {
+    out.push_back({PathAt(index), min_id_[Find(index)] + 1});
   }
   return out;
 }
 
 std::vector<std::vector<int>> EquivalenceMap::NontrivialClassIndices() const {
   std::vector<std::vector<int>> out;
-  for (int i = 0; i < static_cast<int>(entries_.size()); ++i) {
+  for (int i = 0; i < num_attributes(); ++i) {
     if (parent_[i] != i || class_size_[i] < 2) continue;
     std::vector<int> ids;
     ids.reserve(class_size_[i]);
@@ -267,7 +281,7 @@ EquivalenceMap::NontrivialClasses() const {
   for (const std::vector<int>& ids : NontrivialClassIndices()) {
     std::vector<ecr::AttributePath> members;
     members.reserve(ids.size());
-    for (int id : ids) members.push_back(entries_[id].path);
+    for (int id : ids) members.push_back(PathAt(id));
     std::sort(members.begin(), members.end());
     out.push_back(std::move(members));
   }
@@ -284,7 +298,7 @@ std::vector<ecr::AttributePath> EquivalenceMap::ClassMembers(
   ids.reserve(class_size_[root]);
   AppendClassIds(root, ids);
   out.reserve(ids.size());
-  for (int id : ids) out.push_back(entries_[id].path);
+  for (int id : ids) out.push_back(PathAt(id));
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -294,10 +308,10 @@ std::vector<ecr::AttributePath> EquivalenceMap::AttributesOf(
   std::vector<ecr::AttributePath> out;
   int s = StructureIndexOf(object);
   if (s < 0) return out;
-  out.reserve(structures_[s].end - structures_[s].begin);
-  for (int index = structures_[s].begin; index < structures_[s].end;
-       ++index) {
-    out.push_back(entries_[index].path);
+  const StructureEntry& entry = registry_->structures[s];
+  out.reserve(entry.end - entry.begin);
+  for (int index = entry.begin; index < entry.end; ++index) {
+    out.push_back(PathAt(index));
   }
   return out;
 }

@@ -2,6 +2,7 @@
 #define ECRINT_CORE_EQUIVALENCE_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,13 @@ struct AttributeClassEntry {
 // indexes, and a structure's attributes are the contiguous id range handed
 // out while registering it, so registration performs no per-attribute or
 // per-structure node allocation.
+//
+// What Create registers (the attribute entries, both probe indexes and the
+// structure ranges) never changes afterwards, so it lives in one immutable
+// registry that every copy of the map shares. A copy owns only the four
+// class arrays, so the snapshot a publish cuts after each declare is four
+// int vectors, not the registry's strings. A default-constructed map shares
+// an empty registry and answers as a map over no schemas.
 class EquivalenceMap {
  public:
   // Registers every attribute of every object class and relationship set of
@@ -92,15 +100,20 @@ class EquivalenceMap {
   std::vector<ecr::AttributePath> AttributesOf(const ObjectRef& object) const;
 
   // The path of an interned attribute id (ids are dense, 0-based, in
-  // registration order).
-  const ecr::AttributePath& PathAt(int id) const { return entries_[id].path; }
+  // registration order). Copies of a map return the same object.
+  const ecr::AttributePath& PathAt(int id) const {
+    return registry_->entries[id].path;
+  }
 
   // The structure an interned attribute id belongs to.
   ObjectRef ObjectAt(int id) const {
-    return {entries_[id].path.schema, entries_[id].path.object};
+    const ecr::AttributePath& path = PathAt(id);
+    return {path.schema, path.object};
   }
 
-  int num_attributes() const { return static_cast<int>(entries_.size()); }
+  int num_attributes() const {
+    return static_cast<int>(registry_->entries.size());
+  }
 
  private:
   struct Entry {
@@ -117,28 +130,30 @@ class EquivalenceMap {
     int end = 0;
   };
 
+  // Everything Create registers; immutable once built.
+  struct Registry {
+    std::vector<Entry> entries;
+    common::ProbeTable attribute_index;
+    // Structures with their attribute-id ranges, plus their probe index.
+    std::vector<StructureEntry> structures;
+    common::ProbeTable structure_index;
+  };
+
+  static const std::shared_ptr<const Registry>& EmptyRegistry();
+
   int Find(int index) const;  // union-find root with path compression
 
   Result<int> IndexOf(const ecr::AttributePath& path) const;
   int StructureIndexOf(const ObjectRef& ref) const;  // -1 if unknown
 
-  // `hash` must equal AttributePathHash{}(path); Create precomputes the
-  // structure prefix once per structure.
-  int Register(ecr::AttributePath path, const ecr::Attribute& attribute,
-               size_t hash);
-
   // Member ids of the class rooted at `root` (ring walk), unsorted.
   void AppendClassIds(int root, std::vector<int>& out) const;
 
-  std::vector<Entry> entries_;
+  std::shared_ptr<const Registry> registry_ = EmptyRegistry();
   mutable std::vector<int> parent_;  // union-find forest
   std::vector<int> next_;            // circular ring of class co-members
   std::vector<int> class_size_;      // valid at roots
   std::vector<int> min_id_;          // valid at roots; drives ClassOf
-  common::ProbeTable attribute_index_;
-  // Structures with their attribute-id ranges, plus their probe index.
-  std::vector<StructureEntry> structures_;
-  common::ProbeTable structure_index_;
 };
 
 }  // namespace ecrint::core

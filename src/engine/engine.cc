@@ -314,7 +314,7 @@ Result<core::ConflictReport> Engine::AssertRelation(
       // Accepted against the user assertions but contradicts seeded schema
       // structure. Drop the cache: Integrate's full path reproduces the
       // error with exactly the from-scratch blame order.
-      seeded_.reset();
+      DropSeeded();
     }
   }
   return result;
@@ -342,7 +342,7 @@ Status Engine::RetractRelation(int index) {
     return InternalError("assertion replay conflicted after retract: " +
                          replayed.status().message());
   }
-  assertions_ = std::move(rebuilt);
+  ReplaceAssertions(std::move(rebuilt));
   ++assertion_epoch_;  // non-append change: seeded closure no longer extends
   trace_.Count("assert", "retracted");
   return Status::Ok();
@@ -355,6 +355,7 @@ Status Engine::RetractRelation(int index) {
 Result<const core::IntegrationResult*> Engine::Integrate(
     std::vector<std::string> schemas) {
   PhaseTrace::Scope scope(trace_, "integrate");
+  last_seed_cost_ = {};
   std::vector<std::string> names =
       schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
   int log_size = static_cast<int>(assertions_.user_assertions().size());
@@ -412,7 +413,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
         // The new assertion contradicts seeded schema structure. Fall back
         // to the full path so the error (and blame order) is exactly what a
         // from-scratch Integrate reports.
-        seeded_.reset();
+        DropSeeded();
         incremental = false;
         break;
       }
@@ -423,18 +424,22 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   Result<core::IntegrationResult> result = InternalError("unreachable");
   if (incremental) {
     trace_.Count("integrate", "incremental_reuses");
-    trace_.Charge("integrate.seed", seed_watch.ElapsedNs());
+    last_seed_cost_.ns = seed_watch.ElapsedNs();
+    trace_.Charge("integrate.seed", last_seed_cost_.ns);
     result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
                                    options_.integration, &timings);
   } else {
     trace_.Count("integrate", "full_rebuilds");
+    last_seed_cost_.full_rebuild = true;
+    DropSeeded();
     core::AssertionStore seeded = assertions_;
+    seeded.ClearClosureStats();
     Status status = core::SeedForIntegration(seeded, catalog_, names,
                                              options_.integration);
     if (!status.ok()) {
+      closure_retired_ += seeded.closure_stats();
       integration_.reset();
       ++integration_version_;
-      seeded_.reset();
       AddDiagnostic(StatusDiagnostic("integration-failed", status));
       return status;
     }
@@ -446,7 +451,8 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     seeded_schema_generation_ = schema_generation_;
     seeded_assertion_epoch_ = assertion_epoch_;
     seeded_log_pos_ = log_size;
-    trace_.Charge("integrate.seed", seed_watch.ElapsedNs());
+    last_seed_cost_.ns = seed_watch.ElapsedNs();
+    trace_.Charge("integrate.seed", last_seed_cost_.ns);
     result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
                                    options_.integration, &timings);
   }
@@ -478,7 +484,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
 }
 
 Status Engine::FullRebuild() {
-  seeded_.reset();
+  DropSeeded();
   integration_.reset();
   ++integration_version_;
   rank_cache_.clear();
@@ -526,10 +532,10 @@ Status Engine::ImportProject(core::Project project) {
   for (auto& [a, b] : project.equivalences) {
     equivalence_log_.push_back({true, std::move(a), std::move(b)});
   }
-  assertions_ = std::move(store);
+  ReplaceAssertions(std::move(store));
   integration_.reset();
   ++integration_version_;
-  seeded_.reset();
+  DropSeeded();
   MarkSchemasDirty();
   ++assertion_epoch_;
   return RebuildEquivalence();
@@ -575,7 +581,7 @@ Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
     seeded_schema_generation_ = schema_generation_;
     seeded_assertion_epoch_ = assertion_epoch_;
   } else {
-    seeded_.reset();
+    DropSeeded();
   }
   rank_cache_.clear();
   return Status::Ok();
@@ -583,6 +589,17 @@ Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
 
 void Engine::AddDiagnostic(Diagnostic diagnostic) {
   diagnostics_.push_back(std::move(diagnostic));
+}
+
+void Engine::ReplaceAssertions(core::AssertionStore store) {
+  closure_retired_ += assertions_.closure_stats();
+  assertions_ = std::move(store);
+}
+
+void Engine::DropSeeded() {
+  if (!seeded_.has_value()) return;
+  closure_retired_ += seeded_->closure_stats();
+  seeded_.reset();
 }
 
 }  // namespace ecrint::engine

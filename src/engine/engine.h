@@ -189,16 +189,27 @@ class Engine {
 
   // --- observability -------------------------------------------------------
   // Closure kernel work totals across the two stores the engine drives: the
-  // live assertion store and the cached seeded closure. The service plane
-  // samples these around each verb to emit closure.* metrics deltas.
+  // live assertion store and the cached seeded closure, plus every store
+  // either has replaced. Monotone, so the service plane can sample them
+  // around each verb and emit the deltas as closure.* metrics.
   core::ClosureStats ClosureTotals() const {
-    core::ClosureStats totals = assertions_.closure_stats();
+    core::ClosureStats totals = closure_retired_;
+    totals += assertions_.closure_stats();
     if (seeded_.has_value()) totals += seeded_->closure_stats();
     return totals;
   }
   // Independent constraint clusters in the live assertion store (the units
   // the batch kernel can close in parallel).
   int ClosureClusterCount() const { return assertions_.num_clusters(); }
+  // What the last Integrate() spent on its seeded closure: whether it
+  // re-seeded every schema instead of extending the cached closure, and the
+  // integrate.seed time it charged (-1 when it charged none: a cache hit,
+  // the binary ladder, or a failure before the closure was ready).
+  struct SeedCost {
+    bool full_rebuild = false;
+    int64_t ns = -1;
+  };
+  const SeedCost& last_seed_cost() const { return last_seed_cost_; }
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   void ClearDiagnostics() { diagnostics_.clear(); }
@@ -268,6 +279,10 @@ class Engine {
   void InvalidateRanksTouching(const ecr::AttributePath& touched);
   void InvalidateAllRanks();
   void AddDiagnostic(Diagnostic diagnostic);
+  // Store swaps: the outgoing store's closure work moves into
+  // closure_retired_ so ClosureTotals() never shrinks.
+  void ReplaceAssertions(core::AssertionStore store);
+  void DropSeeded();
 
   EngineOptions options_;
   ecr::Catalog catalog_;
@@ -293,12 +308,18 @@ class Engine {
   int64_t dedup_epoch_ = -1;
   int64_t dedup_log_size_ = -1;
 
+  // Closure work of the stores assertions_ and seeded_ have replaced.
+  core::ClosureStats closure_retired_;
+
   // Cached seeded closure: seeds + user assertions [0, seeded_log_pos_).
+  // It starts from a copy of assertions_ with its counters zeroed, so its
+  // closure_stats() count only the seeding and the extensions.
   std::optional<core::AssertionStore> seeded_;
   std::vector<std::string> seeded_schemas_;
   int64_t seeded_schema_generation_ = -1;
   int64_t seeded_assertion_epoch_ = -1;
   int seeded_log_pos_ = 0;
+  SeedCost last_seed_cost_;
 
   // Validity tag of integration_.
   std::vector<std::string> integrated_schemas_;

@@ -325,6 +325,8 @@ IntegrationService::IntegrationService(ServiceConfig config)
   epoch_gauge_ = metrics_.GetGauge("repl.epoch");
   batch_size_ = metrics_.GetHistogram("batch.size");
   integrate_render_ = metrics_.GetHistogram("integrate.render");
+  integrate_seed_ = metrics_.GetHistogram("integrate.seed");
+  integrate_full_rebuilds_ = metrics_.GetCounter("integrate.full_rebuilds");
   leader_addr_ = config_.leader_addr;
   // Scan the session table at most ~4x per idle timeout (capped at once a
   // second) instead of on every request.
@@ -462,23 +464,21 @@ std::optional<ServiceError> IntegrationService::Admit(
 
 void IntegrationService::RecordClosureMetrics(ProjectState& project,
                                               const core::ClosureStats& before) {
+  // The engine's totals are monotone across store swaps (a retract or a
+  // re-seed retires a store's counts instead of dropping them), so the
+  // deltas are the verb's own work. Increment(0) still registers the
+  // instrument, so every closure.* name is present in MetricsJson() from
+  // the first write onward.
   const core::ClosureStats after = project.engine.ClosureTotals();
-  // Deltas are clamped at zero: totals are monotone within one store, but a
-  // retract or re-seed swaps stores, which can shrink the lifetime sums.
-  auto delta = [](int64_t now, int64_t then) {
-    return now > then ? now - then : 0;
-  };
-  // Increment(0) still registers the instrument, so every closure.* name is
-  // present in MetricsJson() from the first write onward.
   metrics_.GetCounter("closure.worklist_pops")
-      ->Increment(delta(after.worklist_pops, before.worklist_pops));
+      ->Increment(after.worklist_pops - before.worklist_pops);
   metrics_.GetCounter("closure.row_compositions")
-      ->Increment(delta(after.row_compositions, before.row_compositions));
+      ->Increment(after.row_compositions - before.row_compositions);
   metrics_.GetCounter("closure.narrowings")
-      ->Increment(delta(after.narrowings, before.narrowings));
+      ->Increment(after.narrowings - before.narrowings);
   metrics_.GetCounter("closure.conflicts")
-      ->Increment(delta(after.conflicts, before.conflicts));
-  int64_t kernel_ns = delta(after.kernel_ns, before.kernel_ns);
+      ->Increment(after.conflicts - before.conflicts);
+  int64_t kernel_ns = after.kernel_ns - before.kernel_ns;
   if (kernel_ns > 0) {
     metrics_.GetHistogram("closure.kernel")->Record(kernel_ns / 1000);
   }
@@ -857,7 +857,8 @@ int IntegrationService::CheckpointProjects() {
 }
 
 // ---------------------------------------------------------------------------
-// The integrate body (a member: it times its reply rendering).
+// The integrate body (a member: it times its reply rendering and records
+// what building its seeded closure cost).
 // ---------------------------------------------------------------------------
 
 ServiceResponse IntegrationService::IntegrateBody(
@@ -865,6 +866,11 @@ ServiceResponse IntegrationService::IntegrateBody(
   size_t before = engine.diagnostics().size();
   Result<const core::IntegrationResult*> result =
       engine.Integrate(std::move(schemas));
+  // What this integrate paid to build its seeded closure: a full rebuild
+  // re-seeds every schema, an extension of the cached closure does not.
+  const engine::Engine::SeedCost& seed = engine.last_seed_cost();
+  if (seed.full_rebuild) integrate_full_rebuilds_->Increment();
+  if (seed.ns >= 0) integrate_seed_->Record(seed.ns / 1000);
   if (!result.ok()) {
     return WriteFailure(engine, before, result.status());
   }

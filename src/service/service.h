@@ -389,6 +389,8 @@ class IntegrationService {
   Gauge* epoch_gauge_ = nullptr;
   Histogram* batch_size_ = nullptr;
   Histogram* integrate_render_ = nullptr;  // rendering an integrate reply
+  Histogram* integrate_seed_ = nullptr;    // building its seeded closure
+  Counter* integrate_full_rebuilds_ = nullptr;  // integrates that re-seeded
 
   // Dynamic role state (see the failover plane). Guarded by role_mutex_;
   // the node leads iff leader_addr_ is empty AND it is not fenced. Fenced

@@ -204,5 +204,62 @@ TEST(EquivalenceMapTest, CreateFailsOnUnknownSchema) {
   EXPECT_FALSE(EquivalenceMap::Create(catalog, {"sc1", "nope"}).ok());
 }
 
+// A copy shares the registry (the attribute entries and indexes) but owns
+// its classes: a declare or remove on either side leaves the other's class
+// numbers and class list exactly as they were.
+TEST(EquivalenceMapTest, CopiesShareRegistryButNotClasses) {
+  ecr::Catalog catalog = UniversityCatalog();
+  EquivalenceMap original = MakeMap(catalog);
+  const AttributePath name1{"sc1", "Student", "Name"};
+  const AttributePath name2{"sc2", "Grad_student", "Name"};
+  const AttributePath gpa1{"sc1", "Student", "GPA"};
+  const AttributePath gpa2{"sc2", "Grad_student", "GPA"};
+  ASSERT_TRUE(original.DeclareEquivalent(name1, name2).ok());
+
+  EquivalenceMap copy = original;
+  EXPECT_EQ(&copy.PathAt(0), &original.PathAt(0));
+  EXPECT_EQ(copy.num_attributes(), original.num_attributes());
+
+  // Declare on the copy: the original keeps its single class.
+  ASSERT_TRUE(copy.DeclareEquivalent(gpa1, gpa2).ok());
+  EXPECT_EQ(*copy.ClassOf(gpa2), *copy.ClassOf(gpa1));
+  EXPECT_NE(*original.ClassOf(gpa2), *original.ClassOf(gpa1));
+  EXPECT_EQ(original.NontrivialClassIndices().size(), 1u);
+  EXPECT_EQ(copy.NontrivialClassIndices().size(), 2u);
+
+  // Remove on the original: the copy keeps Name's class.
+  ASSERT_TRUE(original.RemoveFromClass(name2).ok());
+  EXPECT_TRUE(original.NontrivialClassIndices().empty());
+  EXPECT_EQ(*original.ClassOf(name2), *MakeMap(catalog).ClassOf(name2));
+  EXPECT_EQ(*copy.ClassOf(name2), *copy.ClassOf(name1));
+  EXPECT_EQ(copy.NontrivialClassIndices().size(), 2u);
+
+  // Copy-assignment shares too; the registry outlives the map it came from.
+  EquivalenceMap assigned;
+  assigned = copy;
+  copy = original;
+  EXPECT_EQ(&assigned.PathAt(0), &original.PathAt(0));
+  EXPECT_EQ(*assigned.ClassOf(gpa2), *assigned.ClassOf(gpa1));
+}
+
+TEST(EquivalenceMapTest, DefaultMapAnswersAsEmpty) {
+  EquivalenceMap map;
+  EXPECT_EQ(map.num_attributes(), 0);
+  EXPECT_FALSE(map.ClassOf({"sc1", "Student", "Name"}).ok());
+  EXPECT_FALSE(map.AreEquivalent({"sc1", "Student", "Name"},
+                                 {"sc1", "Student", "Name"}));
+  EXPECT_FALSE(map.DeclareEquivalent({"sc1", "Student", "Name"},
+                                     {"sc2", "Grad_student", "Name"})
+                   .ok());
+  EXPECT_EQ(map.EquivalentAttributeCount({"sc1", "Student"},
+                                         {"sc2", "Grad_student"}),
+            0);
+  EXPECT_TRUE(map.EntriesFor({"sc1", "Student"}).empty());
+  EXPECT_TRUE(map.AttributesOf({"sc1", "Student"}).empty());
+  EXPECT_TRUE(map.ClassMembers({"sc1", "Student", "Name"}).empty());
+  EXPECT_TRUE(map.NontrivialClasses().empty());
+  EXPECT_TRUE(map.NontrivialClassIndices().empty());
+}
+
 }  // namespace
 }  // namespace ecrint::core

@@ -90,6 +90,32 @@ TEST(SeedingTest, SharedDescendantSuppressesDisjointnessSeed) {
                   .ok());
 }
 
+// The collector's own output: a descendant shared two levels down (A and B
+// each have a category, and one category sits under both) still suppresses
+// the A/B disjointness seed, while every other pair is seeded, in entity
+// order, after the containment seeds.
+TEST(SeedingTest, DeepSharedDescendantSuppressesOnlyItsPair) {
+  SchemaBuilder b("sc");
+  b.Entity("A").Attr("Ia", Domain::Int(), true);
+  b.Entity("B").Attr("Ib", Domain::Int(), true);
+  b.Entity("C").Attr("Ic", Domain::Int(), true);
+  b.Category("A1", {"A"});
+  b.Category("B1", {"B"});
+  b.Category("AB", {"A1", "B1"});
+  ecr::Schema schema = *b.Build();
+  std::vector<Assertion> seeds;
+  CollectSchemaSeedAssertions(schema, {}, seeds);
+  const std::vector<Assertion> want = {
+      {{"sc", "A1"}, {"sc", "A"}, AssertionType::kContainedIn},
+      {{"sc", "B1"}, {"sc", "B"}, AssertionType::kContainedIn},
+      {{"sc", "AB"}, {"sc", "A1"}, AssertionType::kContainedIn},
+      {{"sc", "AB"}, {"sc", "B1"}, AssertionType::kContainedIn},
+      {{"sc", "A"}, {"sc", "C"}, AssertionType::kDisjointNonintegrable},
+      {{"sc", "B"}, {"sc", "C"}, AssertionType::kDisjointNonintegrable},
+  };
+  EXPECT_EQ(seeds, want);
+}
+
 TEST(SeedingTest, IdempotentOnConsistentStore) {
   AssertionStore store;
   ecr::Schema schema = University();

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 
+#include "core/integrator.h"
 #include "ecr/builder.h"
 #include "ecr/printer.h"
 
@@ -244,6 +245,64 @@ TEST(EngineIncrementalTest, ClosureTotalsExposeKernelCounters) {
   EXPECT_GE(after.worklist_pops, before.worklist_pops);
   EXPECT_GE(after.row_compositions, before.row_compositions);
   EXPECT_GT(engine.ClosureClusterCount(), 0);
+}
+
+// ClosureTotals() must count each store's work once and never shrink: a
+// retract retires the live store (the rebuilt one starts the count from its
+// own replay), and the integrate after it re-seeds from a copy of the new
+// store whose counters start at zero. So the totals rise by exactly the
+// rebuild's pops and then by exactly the re-seed's.
+TEST(EngineIncrementalTest, ClosureTotalsCountRetractAndReseedOnce) {
+  Engine engine = UniversityEngine();
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  const core::ClosureStats integrated = engine.ClosureTotals();
+
+  ASSERT_TRUE(engine.RetractRelation(0).ok());
+  const core::ClosureStats retracted = engine.ClosureTotals();
+  EXPECT_EQ(retracted.worklist_pops,
+            integrated.worklist_pops +
+                engine.assertions().closure_stats().worklist_pops);
+
+  // What the re-seed alone costs, measured on the side.
+  core::AssertionStore probe = engine.assertions();
+  const core::ClosureStats unseeded = probe.closure_stats();
+  ASSERT_TRUE(core::SeedForIntegration(probe, engine.catalog(), {"sc1", "sc2"},
+                                       {})
+                  .ok());
+  const int64_t reseed_pops =
+      probe.closure_stats().worklist_pops - unseeded.worklist_pops;
+  const int64_t reseed_narrowings =
+      probe.closure_stats().narrowings - unseeded.narrowings;
+  ASSERT_GT(reseed_pops, 0);
+
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_EQ(Counter(engine, "integrate", "full_rebuilds"), 2);
+  const core::ClosureStats reseeded = engine.ClosureTotals();
+  EXPECT_EQ(reseeded.worklist_pops, retracted.worklist_pops + reseed_pops);
+  EXPECT_EQ(reseeded.narrowings, retracted.narrowings + reseed_narrowings);
+}
+
+// last_seed_cost() describes the last Integrate() alone: a re-seed, an
+// extension of the cached closure, or (served from the result cache) no
+// closure work at all.
+TEST(EngineIncrementalTest, LastSeedCostTellsRebuildsFromExtensions) {
+  Engine engine = UniversityEngine();
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_TRUE(engine.last_seed_cost().full_rebuild);
+  EXPECT_GE(engine.last_seed_cost().ns, 0);
+
+  ASSERT_TRUE(engine
+                  .AssertRelation({"sc1", "Department"}, {"sc2", "Faculty"},
+                                  AssertionType::kDisjointNonintegrable)
+                  .ok());
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_FALSE(engine.last_seed_cost().full_rebuild);
+  EXPECT_GE(engine.last_seed_cost().ns, 0);
+
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_EQ(Counter(engine, "integrate", "cache_hits"), 1);
+  EXPECT_FALSE(engine.last_seed_cost().full_rebuild);
+  EXPECT_EQ(engine.last_seed_cost().ns, -1);
 }
 
 TEST(EngineIncrementalTest, RetractDropsTheAssertionAndItsConsequences) {

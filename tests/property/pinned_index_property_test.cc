@@ -1,9 +1,12 @@
-// Property tests for the assertion store's pinned-pair index: after every
-// kind of store mutation, the pairs ForEachPinnedAbove visits must be
-// exactly the pairs a brute-force scan of RelationAt pins to one relation
-// other than disjointness. Phase 4's lattice and cluster passes read only
-// this index, so a stale bit silently adds or drops a merge, an IS-A edge
-// or a cluster join.
+// Property tests for the assertion store's pair indexes: after every kind
+// of store mutation, the pairs ForEachPinnedAbove visits must be exactly
+// the pairs a brute-force scan of RelationAt pins to one relation other
+// than disjointness, and the disjointness-exclusion bitmap must hold
+// exactly the pairs whose relation set excludes disjointness. Phase 4's
+// lattice and cluster passes read only the first index, so a stale bit
+// silently adds or drops a merge, an IS-A edge or a cluster join; the
+// closure's sweeps skip every column the second one lacks, so a missing
+// bit silently loses a derivation.
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,14 @@ void ExpectIndexMatchesScan(const AssertionStore& store,
       if (PinnedNonDisjoint(store.RelationAt(a, b))) scanned.push_back(b);
     }
     ASSERT_EQ(indexed, scanned) << where << ": row " << a;
+    // Columns up to the row's last bitmap word, so a stale bit past the
+    // registered objects shows too.
+    for (int b = 0; b < (n + 63) / 64 * 64; ++b) {
+      bool excludes = b < n && b != a &&
+                      !Contains(store.RelationAt(a, b), SetRelation::kDisjoint);
+      ASSERT_EQ(store.IndexedExcludesDisjoint(a, b), excludes)
+          << where << ": exclusion bit " << a << "," << b;
+    }
   }
 }
 

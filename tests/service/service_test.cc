@@ -197,6 +197,54 @@ TEST_F(ServiceTest, ClosureMetricsSurfaceKernelActivity) {
   EXPECT_GT(service_->metrics().GetCounter("closure.conflicts")->value(), 0);
 }
 
+// Every integrate that builds its seeded closure is timed in integrate.seed;
+// only the ones that re-seed every schema count in integrate.full_rebuilds.
+// A define after an integrate forces such a re-seed, and closure.* must
+// count its work even though the new seeded store replaces a larger one.
+TEST_F(ServiceTest, IntegrateMetricsSeparateFullRebuildsFromExtensions) {
+  ASSERT_TRUE(service_->Execute(session_, Define(kUniversityDdl)).ok());
+  ASSERT_TRUE(service_->Execute(session_, AssertCommand(/*type_code=*/1)).ok());
+  MetricsRegistry& metrics = service_->metrics();
+  Counter* rebuilds = metrics.GetCounter("integrate.full_rebuilds");
+  Histogram* seed = metrics.GetHistogram("integrate.seed");
+  Counter* pops = metrics.GetCounter("closure.worklist_pops");
+
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(rebuilds->value(), 1);
+  EXPECT_EQ(seed->count(), 1);
+
+  // After an equiv the integrate reuses the cached closure: timed, no
+  // rebuild.
+  ASSERT_TRUE(service_
+                  ->Execute(session_, Equiv({"sc1", "Student", "Name"},
+                                            {"sc2", "Grad", "Name"}))
+                  .ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(rebuilds->value(), 1);
+  EXPECT_EQ(seed->count(), 2);
+
+  // A served-from-cache integrate builds nothing.
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(seed->count(), 2);
+
+  // A schema of five entity sets: the re-seed after the define asserts
+  // their pairwise disjointness (ten seeds), so it pops at least as many
+  // edges as it has seeds.
+  const int64_t pops_before = pops->value();
+  ASSERT_TRUE(service_
+                  ->Execute(session_,
+                            Define("schema sc4 { entity A { Ia: int key; } "
+                                   "entity B { Ib: int key; } "
+                                   "entity C { Ic: int key; } "
+                                   "entity D { Id: int key; } "
+                                   "entity E { Ie: int key; } }"))
+                  .ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(rebuilds->value(), 2);
+  EXPECT_EQ(seed->count(), 3);
+  EXPECT_GE(pops->value() - pops_before, 10);
+}
+
 // --- router / line protocol ----------------------------------------------
 
 class RouterTest : public ServiceTest {

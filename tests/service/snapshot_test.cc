@@ -88,6 +88,38 @@ TEST(SnapshotManagerTest, EquivalenceEditCopiesMapButSharesCatalog) {
   EXPECT_NE(before->equivalence.get(), after->equivalence.get());
 }
 
+// A snapshot cut before an equiv keeps ranking with the classes it was cut
+// with: the publish after the declare copies the class arrays (sharing the
+// attribute registry), it does not edit the old snapshot's map.
+TEST(SnapshotManagerTest, SnapshotBeforeEquivKeepsItsClasses) {
+  engine::Engine engine = MakeEngine();
+  SnapshotManager manager;
+  ASSERT_TRUE(manager.Publish(engine));
+  std::shared_ptr<const EngineSnapshot> before = manager.Current();
+  auto rank = [](const EngineSnapshot& snapshot) {
+    Result<std::vector<core::ObjectPair>> ranked = SnapshotRankedPairs(
+        snapshot, "sc1", "sc2", core::StructureKind::kObjectClass,
+        /*include_zero=*/true);
+    EXPECT_TRUE(ranked.ok());
+    if (!ranked.ok() || ranked->size() != 1) return -1;
+    return ranked->front().equivalent_attributes;
+  };
+  const int score_before = rank(*before);
+
+  ASSERT_TRUE(engine
+                  .AssertEquivalence({"sc1", "Student", "GPA"},
+                                     {"sc2", "Grad", "GPA"})
+                  .ok());
+  ASSERT_TRUE(manager.Publish(engine));
+  std::shared_ptr<const EngineSnapshot> after = manager.Current();
+
+  EXPECT_EQ(&before->equivalence->PathAt(0), &after->equivalence->PathAt(0));
+  EXPECT_GT(rank(*after), score_before);
+  EXPECT_EQ(rank(*before), score_before);
+  EXPECT_FALSE(before->equivalence->AreEquivalent({"sc1", "Student", "GPA"},
+                                                  {"sc2", "Grad", "GPA"}));
+}
+
 TEST(SnapshotManagerTest, IntegrationPublishesAndThenShares) {
   engine::Engine engine = MakeEngine();
   ASSERT_TRUE(engine

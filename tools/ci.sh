@@ -21,11 +21,12 @@
 #            exports everywhere, NOT_LEADER redirects, kill -9 of the
 #            leader mid-stream, and reconvergence after its restart.
 #   bench    Release build of perf_closure, perf_engine and perf_service;
-#            fails when BM_AssertChain/64 (BENCH_resemblance.json) or
-#            BM_EngineIncrementalEdit/250 (BENCH_engine.json) runs over 2x
-#            its recorded number; also sanity-checks the mixed-throughput
-#            number in BENCH_service.json against the recorded Release stamp
-#            and runs the service loadgen smoke. Every gate runs and prints
+#            fails when BM_AssertChain/64 (BENCH_resemblance.json),
+#            BM_EngineIncrementalEdit/250 or BM_EngineFullRebuild/250
+#            (BENCH_engine.json) runs over 2x its recorded number; also
+#            sanity-checks the mixed-throughput number in BENCH_service.json
+#            against the recorded Release stamp and runs the service
+#            loadgen smoke. Every gate runs and prints
 #            PASS or FAIL; the suite fails after the last one if any failed.
 #   protocol-compat
 #            ASan build of the wire surfaces, then cross-version protocol
@@ -1278,6 +1279,8 @@ run_bench_suite() {
   run_gate "BM_AssertChain/64" bench_gate_assert_chain "${build_dir}"
   run_gate "BM_EngineIncrementalEdit/250" bench_gate_engine_edit \
     "${build_dir}"
+  run_gate "BM_EngineFullRebuild/250" bench_gate_engine_rebuild \
+    "${build_dir}"
   run_gate "service mixed throughput" bench_gate_service_mixed
   run_gate "service loadgen smoke" bench_gate_loadgen_smoke "${build_dir}"
   if [[ ${#failed[@]} -gt 0 ]]; then
@@ -1302,6 +1305,14 @@ bench_gate_engine_edit() {
     --benchmark_format=json >"${report}" &&
     check_bench_regression "${report}" "${repo_root}/BENCH_engine.json" \
       "BM_EngineIncrementalEdit/250"
+}
+
+bench_gate_engine_rebuild() {
+  local report="$1/bench_engine_rebuild.json"
+  "$1/bench/perf_engine" --benchmark_filter='BM_EngineFullRebuild/250' \
+    --benchmark_format=json >"${report}" &&
+    check_bench_regression "${report}" "${repo_root}/BENCH_engine.json" \
+      "BM_EngineFullRebuild/250"
 }
 
 bench_gate_loadgen_smoke() {
