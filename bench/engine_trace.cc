@@ -47,8 +47,8 @@ int main() {
   // re-assert it, integrate again — the last call must take the
   // incremental path.
   if (!engine.Integrate().ok()) return 1;
-  int last = static_cast<int>(engine.assertions().user_assertions().size()) - 1;
-  core::Assertion edit = engine.assertions().user_assertions()[last];
+  int last = engine.assertions().num_user_assertions() - 1;
+  core::Assertion edit = engine.assertions().user_assertion(last);
   if (!engine.RetractRelation(last).ok()) return 1;
   if (!engine.Integrate().ok()) return 1;
   if (!engine.AssertRelation(edit.first, edit.second, edit.type).ok()) {

@@ -60,9 +60,9 @@ BENCHMARK(BM_EngineFullRebuild)->Arg(50)->Arg(100)->Arg(250);
 void BM_EngineIncrementalEdit(benchmark::State& state) {
   workload::Workload w = MakeWorkload(static_cast<int>(state.range(0)));
   engine::Engine engine = LoadEngine(w);
-  int last = static_cast<int>(engine.assertions().user_assertions().size()) - 1;
+  int last = engine.assertions().num_user_assertions() - 1;
   if (last < 0) std::abort();
-  core::Assertion edit = engine.assertions().user_assertions()[last];
+  core::Assertion edit = engine.assertions().user_assertion(last);
   for (auto _ : state) {
     // Un-time the rewind: withdraw the assertion (epoch bump drops the
     // seeded cache) and integrate once to rebuild the cache at n-1 edits.

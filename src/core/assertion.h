@@ -1,6 +1,7 @@
 #ifndef ECRINT_CORE_ASSERTION_H_
 #define ECRINT_CORE_ASSERTION_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -50,6 +51,17 @@ struct Assertion {
   friend bool operator==(const Assertion& a, const Assertion& b) {
     return a.first == b.first && a.second == b.second && a.type == b.type;
   }
+};
+
+// An assertion whose endpoints are dense ids rather than names: an
+// AssertionStore's object ids in its log, a schema's ObjectIds in a seed.
+// 12 bytes, against an Assertion's two ObjectRefs.
+struct IdAssertion {
+  int32_t first = -1;
+  int32_t second = -1;
+  AssertionType type = AssertionType::kDisjointNonintegrable;
+
+  friend bool operator==(const IdAssertion&, const IdAssertion&) = default;
 };
 
 }  // namespace ecrint::core

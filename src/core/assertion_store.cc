@@ -43,17 +43,16 @@ std::string ConflictReport::ToString() const {
   return out;
 }
 
-void AssertionStore::Grow(int min_capacity) {
-  int new_capacity = capacity_ == 0 ? 64 : capacity_;
-  while (new_capacity < min_capacity) new_capacity *= 2;
-  if (new_capacity == capacity_) return;
+void AssertionStore::Grow(int structures) {
+  int new_capacity = (structures + 63) / 64 * 64;
+  if (new_capacity <= capacity_) return;
   int new_words = new_capacity / 64;
   size_t cells = static_cast<size_t>(new_capacity) * new_capacity;
 
   // Row stride changes, so every per-cell array is rebuilt row by row.
-  // Intern (the only caller) runs strictly between transactions, so the
-  // worklist and undo log are empty and queued_/visited_stamp_ can simply
-  // be re-zeroed.
+  // Both callers (Intern and the seed batch) run strictly between
+  // transactions, so the worklist and undo log are empty and
+  // queued_/visited_stamp_ can simply be re-zeroed.
   std::vector<RelationSet> rel(cells, kAnyRelation);
   std::vector<uint64_t> constrained(
       static_cast<size_t>(new_capacity) * new_words, 0);
@@ -94,12 +93,13 @@ void AssertionStore::Grow(int min_capacity) {
 }
 
 int AssertionStore::Intern(const ObjectRef& ref) {
-  auto it = index_.find(ref);
-  if (it != index_.end()) return it->second;
-  int id = num_objects();
-  if (id + 1 > capacity_) Grow(id + 1);
+  auto [it, inserted] = index_.try_emplace(ref, num_objects());
+  if (!inserted) return it->second;
+  int id = it->second;
+  // Grow by half, not double: a store just past a boundary (513 structures,
+  // say) then holds 768² cells instead of 1024² at 14 bytes a cell.
+  if (id + 1 > capacity_) Grow(std::max(id + 1, capacity_ + capacity_ / 2));
   objects_.push_back(ref);
-  index_[ref] = id;
   rel_[Cell(id, id)] = MaskOf(SetRelation::kEqual);
   return id;
 }
@@ -115,10 +115,8 @@ void AssertionStore::ForgetObjectsFrom(int n) {
 }
 
 void AssertionStore::ReserveLog(size_t more) {
-  size_t wanted = user_assertions_.size() + more;
-  if (wanted > user_assertions_.capacity()) {
-    user_assertions_.reserve(wanted + more / 4);
-  }
+  size_t wanted = log_.size() + more;
+  if (wanted > log_.capacity()) log_.reserve(wanted + more / 4);
 }
 
 void AssertionStore::BeginTxn() {
@@ -313,7 +311,7 @@ std::vector<int32_t> AssertionStore::ExpandSupportIds(int i, int j) const {
 void AssertionStore::AppendSupport(int i, int j,
                                    std::vector<Assertion>& out) const {
   for (int32_t id : ExpandSupportIds(i, j)) {
-    out.push_back(user_assertions_[id]);
+    out.push_back(ToAssertion(log_[id]));
   }
 }
 
@@ -327,9 +325,10 @@ ConflictReport AssertionStore::ReportFor(int ci, int cj) const {
   return report;
 }
 
-std::pair<int, int> AssertionStore::Apply(int i, int j,
-                                          const Assertion& assertion) {
-  RelationSet mask = MaskOf(RelationOf(assertion.type));
+std::pair<int, int> AssertionStore::Apply(const IdAssertion& entry) {
+  const int i = entry.first;
+  const int j = entry.second;
+  RelationSet mask = MaskOf(RelationOf(entry.type));
 
   // Fast-path direct contradiction: fail without touching state.
   if ((rel_[Cell(i, j)] & mask) == kNoRelation) {
@@ -340,10 +339,9 @@ std::pair<int, int> AssertionStore::Apply(int i, int j,
   // Transactional apply: narrow the pair, drain the worklist, and roll the
   // undo log back on contradiction.
   BeginTxn();
-  int32_t assertion_id = static_cast<int32_t>(user_assertions_.size());
-  user_assertions_.push_back(assertion);
-  bool disjoint_integrable =
-      assertion.type == AssertionType::kDisjointIntegrable;
+  int32_t assertion_id = static_cast<int32_t>(log_.size());
+  log_.push_back(entry);
+  bool disjoint_integrable = entry.type == AssertionType::kDisjointIntegrable;
   if (disjoint_integrable) disjoint_integrable_.push_back({i, j});
 
   int a = std::min(i, j);
@@ -370,7 +368,7 @@ std::pair<int, int> AssertionStore::Apply(int i, int j,
   if (ci >= 0) {
     ++stats_.conflicts;
     Rollback();
-    user_assertions_.pop_back();
+    log_.pop_back();
     if (disjoint_integrable) disjoint_integrable_.pop_back();
     return {ci, cj};  // reported post-rollback, i.e. as before the attempt
   }
@@ -386,23 +384,22 @@ Result<ConflictReport> AssertionStore::Conflict(int ci, int cj,
   return ConflictError(last_conflict_->ToString());
 }
 
-ConflictReport AssertionStore::Accepted(const Assertion& assertion, int i,
-                                        int j) const {
+ConflictReport AssertionStore::Accepted(const IdAssertion& entry) const {
   ConflictReport ok;  // empty report signals success
-  ok.attempted = assertion;
-  ok.existing = rel_[Cell(i, j)];
+  ok.attempted = ToAssertion(entry);
+  ok.existing = rel_[Cell(entry.first, entry.second)];
   return ok;
 }
 
 Result<ConflictReport> AssertionStore::Assert(const Assertion& assertion) {
   last_conflict_.reset();
   int i = Intern(assertion.first);
-  int j = Intern(assertion.second);
+  IdAssertion entry{i, Intern(assertion.second), assertion.type};
   int64_t t0 = NowNs();
-  auto [ci, cj] = Apply(i, j, assertion);
+  auto [ci, cj] = Apply(entry);
   stats_.kernel_ns += NowNs() - t0;
   if (ci >= 0) return Conflict(ci, cj, assertion);
-  return Accepted(assertion, i, j);
+  return Accepted(entry);
 }
 
 Result<ConflictReport> AssertionStore::Assert(const ObjectRef& first,
@@ -500,7 +497,14 @@ bool AssertionStore::IsIntegratingAt(int a, int b) const {
   // generalization over it).
   if (PinnedNonDisjoint(rel_[Cell(a, b)])) return true;
   int32_t direct = direct_[NormCell(a, b)];
-  return direct >= 0 && core::IsIntegrating(user_assertions_[direct].type);
+  return direct >= 0 && core::IsIntegrating(log_[direct].type);
+}
+
+std::vector<Assertion> AssertionStore::user_assertions() const {
+  std::vector<Assertion> out;
+  out.reserve(log_.size());
+  for (const IdAssertion& entry : log_) out.push_back(ToAssertion(entry));
+  return out;
 }
 
 std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
@@ -518,7 +522,7 @@ std::vector<AssertionStore::DerivedFact> AssertionStore::DerivedFacts()
       fact.second = objects_[j];
       fact.relation = TheRelation(rel_[cn]);
       for (int32_t id : support) {
-        fact.supporting.push_back(user_assertions_[id]);
+        fact.supporting.push_back(ToAssertion(log_[id]));
       }
       out.push_back(std::move(fact));
     }
@@ -618,25 +622,23 @@ void AssertionStore::MergeComponent(
 }
 
 Result<ConflictReport> AssertionStore::ApplyInOrder(
-    const std::vector<Assertion>& batch, const std::vector<int>& ids,
-    int objects_before) {
+    const std::vector<IdAssertion>& batch, int objects_before) {
   for (size_t k = 0; k < batch.size(); ++k) {
-    auto [ci, cj] = Apply(ids[2 * k], ids[2 * k + 1], batch[k]);
+    auto [ci, cj] = Apply(batch[k]);
     if (ci < 0) continue;
     // The Assert() loop stops here, having registered only the endpoints
     // of batch[0..k]; ids grew in that order, so they are a prefix.
     int reached = objects_before;
-    for (size_t p = 0; p <= 2 * k + 1; ++p) {
-      reached = std::max(reached, ids[p] + 1);
+    for (size_t p = 0; p <= k; ++p) {
+      reached = std::max({reached, batch[p].first + 1, batch[p].second + 1});
     }
     ForgetObjectsFrom(reached);
-    return Conflict(ci, cj, batch[k]);
+    return Conflict(ci, cj, ToAssertion(batch[k]));
   }
-  return Accepted(batch.back(), ids[ids.size() - 2], ids.back());
+  return Accepted(batch.back());
 }
 
-bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
-                                     const std::vector<int>& ids,
+bool AssertionStore::AssertClustered(const std::vector<IdAssertion>& batch,
                                      common::ThreadPool& pool) {
   int n = num_objects();
 
@@ -662,15 +664,15 @@ bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
       }
     }
   }
-  for (size_t p = 0; p < ids.size(); p += 2) {
-    parent[find(ids[p])] = find(ids[p + 1]);
+  for (const IdAssertion& entry : batch) {
+    parent[find(entry.first)] = find(entry.second);
   }
 
   // Group batch assertions by component root.
   std::vector<int> group_of_root(n, -1);
   int groups = 0;
-  for (size_t p = 0; p < ids.size(); p += 2) {
-    int& group = group_of_root[find(ids[p])];
+  for (const IdAssertion& entry : batch) {
+    int& group = group_of_root[find(entry.first)];
     if (group < 0) group = groups++;
   }
   if (groups <= 1) return false;
@@ -678,7 +680,7 @@ bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
   // Each group's replay sequence: the existing user assertions of its
   // component (by original id), then its batch slice — in global order.
   struct Task {
-    std::vector<const Assertion*> replay;
+    std::vector<Assertion> replay;
     std::vector<int32_t> assertion_map;  // scratch id -> this-store id
     size_t existing = 0;  // replay entries already in this store's log
     ClosureStats before_batch;  // scratch counters after those
@@ -686,19 +688,18 @@ bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
     bool conflicted = false;
   };
   std::vector<Task> tasks(groups);
-  for (size_t ai = 0; ai < user_assertions_.size(); ++ai) {
-    const Assertion& a = user_assertions_[ai];
-    int group = group_of_root[find(IdOf(a.first))];
+  for (size_t ai = 0; ai < log_.size(); ++ai) {
+    int group = group_of_root[find(log_[ai].first)];
     if (group < 0) continue;  // component untouched by batch
     Task& task = tasks[group];
-    task.replay.push_back(&a);
+    task.replay.push_back(ToAssertion(log_[ai]));
     task.assertion_map.push_back(static_cast<int32_t>(ai));
     ++task.existing;
   }
-  int32_t base_id = static_cast<int32_t>(user_assertions_.size());
+  int32_t base_id = static_cast<int32_t>(log_.size());
   for (size_t k = 0; k < batch.size(); ++k) {
-    Task& task = tasks[group_of_root[find(ids[2 * k])]];
-    task.replay.push_back(&batch[k]);
+    Task& task = tasks[group_of_root[find(batch[k].first)]];
+    task.replay.push_back(ToAssertion(batch[k]));
     task.assertion_map.push_back(base_id + static_cast<int32_t>(k));
   }
 
@@ -707,7 +708,7 @@ bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
       Task& task = tasks[g];
       for (size_t r = 0; r < task.replay.size(); ++r) {
         if (r == task.existing) task.before_batch = task.scratch.stats_;
-        if (!task.scratch.Assert(*task.replay[r]).ok()) {
+        if (!task.scratch.Assert(task.replay[r]).ok()) {
           task.conflicted = true;
           break;
         }
@@ -740,10 +741,10 @@ bool AssertionStore::AssertClustered(const std::vector<Assertion>& batch,
         done.row_compositions - replayed.row_compositions;
     stats_.narrowings += done.narrowings - replayed.narrowings;
   }
-  user_assertions_.insert(user_assertions_.end(), batch.begin(), batch.end());
-  for (size_t k = 0; k < batch.size(); ++k) {
-    if (batch[k].type == AssertionType::kDisjointIntegrable) {
-      disjoint_integrable_.push_back({ids[2 * k], ids[2 * k + 1]});
+  log_.insert(log_.end(), batch.begin(), batch.end());
+  for (const IdAssertion& entry : batch) {
+    if (entry.type == AssertionType::kDisjointIntegrable) {
+      disjoint_integrable_.push_back({entry.first, entry.second});
     }
   }
   return true;
@@ -757,20 +758,56 @@ Result<ConflictReport> AssertionStore::AssertBatch(
   // Intern every endpoint once, in batch order — the ids an Assert() loop
   // would assign — and apply by id from here on.
   const int objects_before = num_objects();
-  std::vector<int> ids;
-  ids.reserve(2 * batch.size());
+  std::vector<IdAssertion> entries;
+  entries.reserve(batch.size());
   for (const Assertion& assertion : batch) {
-    ids.push_back(Intern(assertion.first));
-    ids.push_back(Intern(assertion.second));
+    int first = Intern(assertion.first);
+    entries.push_back({first, Intern(assertion.second), assertion.type});
   }
   ReserveLog(batch.size());
   Result<ConflictReport> result = ConflictReport{};
   if (pool != nullptr && pool->size() > 1 && !has_constraints_ &&
-      batch.size() > 1 && AssertClustered(batch, ids, *pool)) {
-    result = Accepted(batch.back(), ids[ids.size() - 2], ids.back());
+      batch.size() > 1 && AssertClustered(entries, *pool)) {
+    result = Accepted(entries.back());
   } else {
-    result = ApplyInOrder(batch, ids, objects_before);
+    result = ApplyInOrder(entries, objects_before);
   }
+  stats_.kernel_ns += NowNs() - t0;
+  return result;
+}
+
+Result<ConflictReport> AssertionStore::AssertBatch(
+    const std::vector<ObjectRef>& refs, const std::vector<IdAssertion>& batch) {
+  if (batch.empty()) return ConflictReport{};
+  last_conflict_.reset();
+  int64_t t0 = NowNs();
+  // Each named structure's id here: kUnseen until an entry names it, -1
+  // while the store lacks it. One lookup per structure, not per endpoint.
+  constexpr int kUnseen = -2;
+  std::vector<int> id_of(refs.size(), kUnseen);
+  int fresh = 0;
+  for (const IdAssertion& entry : batch) {
+    for (int r : {entry.first, entry.second}) {
+      if (id_of[r] != kUnseen) continue;
+      id_of[r] = IdOf(refs[r]);
+      fresh += id_of[r] < 0;
+    }
+  }
+  const int objects_before = num_objects();
+  Grow(objects_before + fresh);
+  // Intern in order of first use: the ids the Assert() loop hands out.
+  auto id = [&](int r) {
+    if (id_of[r] < 0) id_of[r] = Intern(refs[r]);
+    return id_of[r];
+  };
+  std::vector<IdAssertion> entries;
+  entries.reserve(batch.size());
+  for (const IdAssertion& entry : batch) {
+    int first = id(entry.first);
+    entries.push_back({first, id(entry.second), entry.type});
+  }
+  ReserveLog(batch.size());
+  Result<ConflictReport> result = ApplyInOrder(entries, objects_before);
   stats_.kernel_ns += NowNs() - t0;
   return result;
 }

@@ -155,9 +155,20 @@ class AssertionStore {
   // store and the results are merged — closure never crosses a component
   // boundary (composing with kAnyRelation derives nothing), so the merged
   // state is identical to the sequential replay. This is the bulk entry
-  // point for integration seeding and full rebuilds.
+  // point for replaying a log: a retract's rebuild and a project import.
   Result<ConflictReport> AssertBatch(const std::vector<Assertion>& batch,
                                      common::ThreadPool* pool = nullptr);
+
+  // The same over names given once: entry k asserts refs[batch[k].first]
+  // <batch[k].type> refs[batch[k].second], and the result equals the
+  // Assert() loop over those assertions. A structure the store lacks is
+  // interned when the first entry naming it is reached, which hands out
+  // the loop's ids; before any entry is applied, the pair arrays grow once
+  // to hold every structure the batch names. `refs` should be distinct (a
+  // repeat is sized twice but interned once). Applied in order, never
+  // clustered: the bulk entry point for integration seeding.
+  Result<ConflictReport> AssertBatch(const std::vector<ObjectRef>& refs,
+                                     const std::vector<IdAssertion>& batch);
 
   // Restricts the pair's possible relations to `allowed` without recording
   // a user assertion — the entry point for domain-derived bounds such as
@@ -183,10 +194,14 @@ class AssertionStore {
   // to generalize them).
   bool IsIntegrating(const ObjectRef& first, const ObjectRef& second) const;
 
-  // All user assertions, in entry order.
-  const std::vector<Assertion>& user_assertions() const {
-    return user_assertions_;
-  }
+  // The user-assertion log in entry order, on dense ids (objects()[id]).
+  // Assertions are built from it only where one is handed out.
+  const std::vector<IdAssertion>& assertion_log() const { return log_; }
+  int num_user_assertions() const { return static_cast<int>(log_.size()); }
+  // User assertion `index` (0 <= index < num_user_assertions()), built.
+  Assertion user_assertion(int index) const { return ToAssertion(log_[index]); }
+  // Every user assertion in entry order, built: a copy of the whole log.
+  std::vector<Assertion> user_assertions() const;
 
   // Dense id pairs of the disjoint-integrable user assertions, in entry
   // order: the pairs that ask phase 4 for a derived generalization, and
@@ -260,7 +275,12 @@ class AssertionStore {
   };
 
   int Intern(const ObjectRef& ref);
-  void Grow(int min_capacity);
+  // Resizes the pair arrays to hold `structures` structures, rounded up to
+  // a bitmap word; never shrinks.
+  void Grow(int structures);
+  Assertion ToAssertion(const IdAssertion& entry) const {
+    return {objects_[entry.first], objects_[entry.second], entry.type};
+  }
 
   int64_t Cell(int i, int j) const {
     return static_cast<int64_t>(i) * capacity_ + j;
@@ -321,30 +341,28 @@ class AssertionStore {
 
   // Assert() on interned ids without building a report: returns the pair
   // that became empty (the store is then unchanged), or {-1,-1}.
-  std::pair<int, int> Apply(int i, int j, const Assertion& assertion);
+  std::pair<int, int> Apply(const IdAssertion& entry);
   // The failure Assert() returns for a conflict on pair (ci,cj).
   Result<ConflictReport> Conflict(int ci, int cj, const Assertion& attempted);
-  // The report Assert() returns when `assertion` on ids (i,j) is accepted.
-  ConflictReport Accepted(const Assertion& assertion, int i, int j) const;
+  // The report Assert() returns when `entry` is accepted.
+  ConflictReport Accepted(const IdAssertion& entry) const;
   // Leaves room for `more` log entries plus a quarter as headroom, so the
   // first Assert after a bulk load does not move the whole log.
   void ReserveLog(size_t more);
   // Unregisters objects [n, num_objects()), which no pair constrains.
   void ForgetObjectsFrom(int n);
 
-  // The batch applied in order by its interned endpoint ids (ids[2k],
-  // ids[2k+1]); on a conflict, forgets the endpoints the Assert() loop
-  // would not have registered yet (ids were interned in batch order, from
-  // `objects_before` on).
-  Result<ConflictReport> ApplyInOrder(const std::vector<Assertion>& batch,
-                                      const std::vector<int>& ids,
+  // The batch applied in order on its interned ids; on a conflict, forgets
+  // the endpoints the Assert() loop would not have registered yet (ids
+  // were interned in batch order, from `objects_before` on).
+  Result<ConflictReport> ApplyInOrder(const std::vector<IdAssertion>& batch,
                                       int objects_before);
   // The clustered path: closes each connected component the batch touches
   // on its own worker and merges the results. Returns false, with the
   // store as it was, when the batch joins one component only or some
   // component conflicts; the caller then applies the batch in order.
-  bool AssertClustered(const std::vector<Assertion>& batch,
-                       const std::vector<int>& ids, common::ThreadPool& pool);
+  bool AssertClustered(const std::vector<IdAssertion>& batch,
+                       common::ThreadPool& pool);
   // Copies every constrained pair of `scratch` into this store, remapping
   // object ids via `object_map` (scratch id -> this-store id) and user
   // assertion ids via `assertion_map`.
@@ -356,7 +374,8 @@ class AssertionStore {
   std::unordered_map<ObjectRef, int, ObjectRefHash> index_;
 
   // Packed pair state, all row-major with stride capacity_ (a multiple of
-  // 64, grown geometrically). rel_ holds both orientations (the mirror cell
+  // 64, grown by half when an Intern overflows it, or once to a seed
+  // batch's size). rel_ holds both orientations (the mirror cell
   // is always the converse); direct_/deriv_head_/queued_ are meaningful on
   // the normalized (min,max) cell only.
   int capacity_ = 0;
@@ -372,7 +391,7 @@ class AssertionStore {
   std::vector<int32_t> deriv_head_;    // head of DerivRecord chain, -1 none
   std::vector<DerivRecord> deriv_pool_;
 
-  std::vector<Assertion> user_assertions_;
+  std::vector<IdAssertion> log_;
   std::vector<std::pair<int, int>> disjoint_integrable_;
 
   // Worklist of narrowed (normalized) cells, drained FIFO; queued_ prevents
@@ -390,7 +409,7 @@ class AssertionStore {
   mutable uint32_t visited_epoch_ = 0;
 
   std::optional<ConflictReport> last_conflict_;
-  // Constrain() state cannot be reproduced by replaying user_assertions_,
+  // Constrain() state cannot be reproduced by replaying log_,
   // so its presence disables the replay-based parallel batch path.
   bool has_constraints_ = false;
   ClosureStats stats_;

@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "common/interner.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/seeding.h"
 
 namespace ecrint::core {
@@ -708,19 +707,20 @@ Status SeedForIntegration(AssertionStore& assertions,
                           const IntegrationOptions& options) {
   // Seed within-schema structure into the closure; contradictions between
   // DDA assertions and component structure surface here. All schemas are
-  // collected into one batch: each component schema's seeds usually form
-  // their own connected clusters, which AssertBatch closes in parallel.
+  // seeded as one batch on ids, applied in order, not clustered: once the
+  // DDA has related the schemas, their seeds form one connected component,
+  // where the clustered path would fall back to this order anyway.
   SeedOptions seed;
   seed.category_containment = options.seed_category_containment;
   seed.entity_disjointness = options.seed_entity_disjointness;
-  std::vector<Assertion> seeds;
+  std::vector<const ecr::Schema*> components;
+  components.reserve(schemas.size());
   for (const std::string& name : schemas) {
     ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
                             catalog.GetSchema(name));
-    CollectSchemaSeedAssertions(*schema, seed, seeds);
+    components.push_back(schema);
   }
-  return assertions.AssertBatch(seeds, &common::ThreadPool::Shared())
-      .status();
+  return SeedSchemas(assertions, components, seed);
 }
 
 Result<IntegrationResult> Integrate(const ecr::Catalog& catalog,

@@ -97,9 +97,9 @@ Result<IntegrationResult> IntegrateBinaryLadder(
 
     // Assertions whose (rewritten) operands fall into this rung's pair.
     AssertionStore rung_assertions;
-    for (const Assertion& original : assertions.user_assertions()) {
-      auto first = ref_now.find(original.first);
-      auto second = ref_now.find(original.second);
+    for (const IdAssertion& original : assertions.assertion_log()) {
+      auto first = ref_now.find(assertions.objects()[original.first]);
+      auto second = ref_now.find(assertions.objects()[original.second]);
       if (first == ref_now.end() || second == ref_now.end()) continue;
       const ObjectRef& a = first->second;
       const ObjectRef& b = second->second;

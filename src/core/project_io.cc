@@ -44,10 +44,11 @@ std::string SerializeProject(const ecr::Catalog& catalog,
     }
   }
   out += "%assertions\n";
-  for (const Assertion& assertion : assertions.user_assertions()) {
-    out += assertion.first.ToString() + " " +
-           std::to_string(AssertionTypeCode(assertion.type)) + " " +
-           assertion.second.ToString() + "\n";
+  const std::vector<ObjectRef>& objects = assertions.objects();
+  for (const IdAssertion& entry : assertions.assertion_log()) {
+    out += objects[entry.first].ToString() + " " +
+           std::to_string(AssertionTypeCode(entry.type)) + " " +
+           objects[entry.second].ToString() + "\n";
   }
   return out;
 }

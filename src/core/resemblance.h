@@ -53,8 +53,10 @@ class OcsMatrix {
 
   // Every pair with at least one equivalent attribute, ordered by descending
   // attribute ratio (the paper's "likelihood of being integrable with
-  // stronger assertions"), tie-broken by more equivalent attributes, then
-  // by names for determinism. Set `include_zero` to list all pairs.
+  // stronger assertions"), tie-broken by names alone (first structure, then
+  // second), as Screen 8 lists its equal-ratio pairs: two pairs with the
+  // same ratio keep name order whatever their equivalent-attribute counts.
+  // Set `include_zero` to list all pairs.
   std::vector<ObjectPair> RankedPairs(bool include_zero = false) const;
 
   // The first `k` pairs of RankedPairs() without paying a full sort

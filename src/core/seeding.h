@@ -22,17 +22,21 @@ struct SeedOptions {
   bool entity_disjointness = true;
 };
 
-// Appends the schema's structural seed assertions to `out` in the order
-// SeedSchemaRelations would assert them, without touching any store. Lets
-// callers seed several schemas in one AssertBatch (cluster-parallel).
-void CollectSchemaSeedAssertions(const ecr::Schema& schema,
-                                 const SeedOptions& options,
-                                 std::vector<Assertion>& out);
+// Appends the schema's structural seeds to `out` in the order SeedSchemas
+// asserts them, each naming its two structures by their ObjectIds in
+// `schema`: every category's containment in each parent, then the
+// disjointness of every pair of entity sets without a shared descendant.
+void CollectSchemaSeeds(const ecr::Schema& schema, const SeedOptions& options,
+                        std::vector<IdAssertion>& out);
 
-// Preloads the schema's structural relations. Returns kConflict if the
-// store's existing assertions contradict the schema structure.
-Status SeedSchemaRelations(AssertionStore& store, const ecr::Schema& schema,
-                           const SeedOptions& options = {});
+// Preloads the structural relations of `schemas`, in order, as one batch
+// (a schema listed twice is seeded twice). The store ends exactly as an
+// Assert() loop over the seeds would leave it, but each structure is named
+// and interned once. Returns kConflict if the store's existing assertions
+// contradict the schema structure.
+Status SeedSchemas(AssertionStore& store,
+                   const std::vector<const ecr::Schema*>& schemas,
+                   const SeedOptions& options = {});
 
 }  // namespace ecrint::core
 

@@ -268,12 +268,13 @@ Result<core::ConflictReport> Engine::AssertRelation(
   // set is rebuilt lazily whenever the store changed through any other
   // door (retract, import, epoch bump).
   std::string key = AssertionKey(first, second, type);
-  int64_t log_size = static_cast<int64_t>(assertions_.user_assertions().size());
+  int64_t log_size = assertions_.num_user_assertions();
   if (dedup_epoch_ != assertion_epoch_ || dedup_log_size_ != log_size) {
     assertion_keys_.clear();
-    for (const core::Assertion& assertion : assertions_.user_assertions()) {
-      assertion_keys_.insert(
-          AssertionKey(assertion.first, assertion.second, assertion.type));
+    const std::vector<core::ObjectRef>& objects = assertions_.objects();
+    for (const core::IdAssertion& entry : assertions_.assertion_log()) {
+      assertion_keys_.insert(AssertionKey(objects[entry.first],
+                                          objects[entry.second], entry.type));
     }
     dedup_epoch_ = assertion_epoch_;
     dedup_log_size_ = log_size;
@@ -295,7 +296,7 @@ Result<core::ConflictReport> Engine::AssertRelation(
   }
   trace_.Count("assert", "asserted");
   assertion_keys_.insert(std::move(key));
-  dedup_log_size_ = static_cast<int64_t>(assertions_.user_assertions().size());
+  dedup_log_size_ = assertions_.num_user_assertions();
   // Eagerly extend the cached seeded closure with the accepted assertion,
   // so a following Integrate is a pure cache hit on the assertion layer
   // instead of replaying the delta at integrate time. Sound for the same
@@ -305,9 +306,8 @@ Result<core::ConflictReport> Engine::AssertRelation(
   if (options_.incremental && seeded_.has_value() &&
       seeded_schema_generation_ == schema_generation_ &&
       seeded_assertion_epoch_ == assertion_epoch_ &&
-      seeded_log_pos_ ==
-          static_cast<int>(assertions_.user_assertions().size()) - 1) {
-    if (seeded_->Assert(assertions_.user_assertions().back()).ok()) {
+      seeded_log_pos_ == assertions_.num_user_assertions() - 1) {
+    if (seeded_->Assert(first, second, type).ok()) {
       ++seeded_log_pos_;
       trace_.Count("assert", "seeded_extended");
     } else {
@@ -322,15 +322,15 @@ Result<core::ConflictReport> Engine::AssertRelation(
 
 Status Engine::RetractRelation(int index) {
   PhaseTrace::Scope scope(trace_, "assert");
-  const std::vector<core::Assertion>& current = assertions_.user_assertions();
-  if (index < 0 || index >= static_cast<int>(current.size())) {
+  const int size = assertions_.num_user_assertions();
+  if (index < 0 || index >= size) {
     return InvalidArgumentError("no user assertion #" +
                                 std::to_string(index));
   }
   std::vector<core::Assertion> survivors;
-  survivors.reserve(current.size() - 1);
-  for (int i = 0; i < static_cast<int>(current.size()); ++i) {
-    if (i != index) survivors.push_back(current[i]);
+  survivors.reserve(size - 1);
+  for (int i = 0; i < size; ++i) {
+    if (i != index) survivors.push_back(assertions_.user_assertion(i));
   }
   // A subset of a consistent assertion set stays consistent (constraints
   // only ever intersect), so replay cannot conflict. AssertBatch closes
@@ -358,7 +358,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   last_seed_cost_ = {};
   std::vector<std::string> names =
       schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
-  int log_size = static_cast<int>(assertions_.user_assertions().size());
+  int log_size = assertions_.num_user_assertions();
 
   if (integration_ && integrated_schemas_ == names &&
       integrated_schema_generation_ == schema_generation_ &&
@@ -406,9 +406,9 @@ Result<const core::IntegrationResult*> Engine::Integrate(
   common::Stopwatch seed_watch(common::RealClock());
   core::IntegrateTimings timings;
   if (incremental) {
-    const std::vector<core::Assertion>& log = assertions_.user_assertions();
     for (int i = seeded_log_pos_; i < log_size; ++i) {
-      Result<core::ConflictReport> applied = seeded_->Assert(log[i]);
+      Result<core::ConflictReport> applied =
+          seeded_->Assert(assertions_.user_assertion(i));
       if (!applied.ok()) {
         // The new assertion contradicts seeded schema structure. Fall back
         // to the full path so the error (and blame order) is exactly what a
@@ -444,8 +444,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
       return status;
     }
     trace_.Count("integrate", "assertions_derived",
-                 static_cast<int64_t>(seeded.user_assertions().size()) -
-                     log_size);
+                 seeded.num_user_assertions() - log_size);
     seeded_ = std::move(seeded);
     seeded_schemas_ = names;
     seeded_schema_generation_ = schema_generation_;
@@ -547,12 +546,11 @@ std::string Engine::ExportProject() {
 }
 
 Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
-  if (stamp.assertion_log_size !=
-      static_cast<int64_t>(assertions_.user_assertions().size())) {
+  if (stamp.assertion_log_size != assertions_.num_user_assertions()) {
     return InternalError(
         "replay stamp records " + std::to_string(stamp.assertion_log_size) +
         " user assertions but the store holds " +
-        std::to_string(assertions_.user_assertions().size()));
+        std::to_string(assertions_.num_user_assertions()));
   }
   // Which caches are valid for the state as it stands right now? Those keep
   // their validity across the renumbering; everything else is dropped so a

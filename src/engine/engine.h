@@ -219,7 +219,7 @@ class Engine {
   // Current state versions (the snapshot publisher's change detector).
   EngineStamp Stamp() const {
     return {schema_generation_, equivalence_generation_, assertion_epoch_,
-            static_cast<int64_t>(assertions_.user_assertions().size()),
+            assertions_.num_user_assertions(),
             integration_version_};
   }
 
@@ -232,8 +232,7 @@ class Engine {
            integrated_schema_generation_ == schema_generation_ &&
            integrated_equivalence_generation_ == equivalence_generation_ &&
            integrated_assertion_epoch_ == assertion_epoch_ &&
-           integrated_log_pos_ ==
-               static_cast<int>(assertions_.user_assertions().size());
+           integrated_log_pos_ == assertions_.num_user_assertions();
   }
   // The schema list the cached integration result was computed over.
   const std::vector<std::string>& integrated_schemas() const {

@@ -883,13 +883,16 @@ std::string Session::RenderAssertionCollection() const {
   Screen screen = Frame("Assertion Collection For Object Pairs");
   std::vector<std::vector<std::string>> rows;
   std::vector<core::ObjectPair> ranked = RankedPairs();
+  const core::AssertionStore& store = engine_.assertions();
   int index = 1;
   for (const core::ObjectPair& pair : ranked) {
     std::string current = "=>";
-    for (const core::Assertion& a : engine_.assertions().user_assertions()) {
-      if ((a.first == pair.first && a.second == pair.second) ||
-          (a.first == pair.second && a.second == pair.first)) {
-        current = "=>" + std::to_string(core::AssertionTypeCode(a.type));
+    for (const core::IdAssertion& entry : store.assertion_log()) {
+      const core::ObjectRef& first = store.objects()[entry.first];
+      const core::ObjectRef& second = store.objects()[entry.second];
+      if ((first == pair.first && second == pair.second) ||
+          (first == pair.second && second == pair.first)) {
+        current = "=>" + std::to_string(core::AssertionTypeCode(entry.type));
       }
     }
     rows.push_back({std::to_string(index++) + "> " + pair.first.ToString(),

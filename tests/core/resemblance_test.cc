@@ -109,6 +109,59 @@ TEST(ResemblanceTest, ZeroPairsExcludedByDefault) {
   EXPECT_EQ(matrix->RankedPairs(/*include_zero=*/true).size(), 6u);
 }
 
+// Equal ratios from different counts, 1/(1+2) and 2/(2+4): the tie breaks
+// by names alone, so sc1.Alpha's pair (one equivalent attribute) ranks
+// before sc1.Beta's (two).
+TEST(ResemblanceTest, EqualRatiosTieBreakByNamesNotCounts) {
+  ecr::Catalog catalog;
+  SchemaBuilder b1("sc1");
+  b1.Entity("Alpha")
+      .Attr("A1", Domain::Char(), true)
+      .Attr("A2", Domain::Char());
+  b1.Entity("Beta")
+      .Attr("B1", Domain::Char(), true)
+      .Attr("B2", Domain::Char())
+      .Attr("B3", Domain::Char())
+      .Attr("B4", Domain::Char());
+  ASSERT_TRUE(catalog.AddSchema(*b1.Build()).ok());
+  SchemaBuilder b2("sc2");
+  b2.Entity("Gamma")
+      .Attr("G1", Domain::Char(), true)
+      .Attr("G2", Domain::Char());
+  b2.Entity("Delta")
+      .Attr("D1", Domain::Char(), true)
+      .Attr("D2", Domain::Char())
+      .Attr("D3", Domain::Char())
+      .Attr("D4", Domain::Char());
+  ASSERT_TRUE(catalog.AddSchema(*b2.Build()).ok());
+  EquivalenceMap map = *EquivalenceMap::Create(catalog, {"sc1", "sc2"});
+  ASSERT_TRUE(
+      map.DeclareEquivalent({"sc1", "Alpha", "A1"}, {"sc2", "Gamma", "G1"})
+          .ok());
+  ASSERT_TRUE(
+      map.DeclareEquivalent({"sc1", "Beta", "B1"}, {"sc2", "Delta", "D1"})
+          .ok());
+  ASSERT_TRUE(
+      map.DeclareEquivalent({"sc1", "Beta", "B2"}, {"sc2", "Delta", "D2"})
+          .ok());
+  Result<OcsMatrix> matrix = OcsMatrix::Create(catalog, map, "sc1", "sc2",
+                                               StructureKind::kObjectClass);
+  ASSERT_TRUE(matrix.ok()) << matrix.status();
+
+  std::vector<ObjectPair> ranked = matrix->RankedPairs();
+  ASSERT_EQ(ranked.size(), 2u);
+  EXPECT_EQ(ranked[0].attribute_ratio, ranked[1].attribute_ratio);
+  EXPECT_EQ(ranked[0].first.ToString(), "sc1.Alpha");
+  EXPECT_EQ(ranked[0].second.ToString(), "sc2.Gamma");
+  EXPECT_EQ(ranked[0].equivalent_attributes, 1);
+  EXPECT_EQ(ranked[1].first.ToString(), "sc1.Beta");
+  EXPECT_EQ(ranked[1].second.ToString(), "sc2.Delta");
+  EXPECT_EQ(ranked[1].equivalent_attributes, 2);
+  std::vector<ObjectPair> top = matrix->TopKPairs(1);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].first.ToString(), "sc1.Alpha");
+}
+
 TEST(ResemblanceTest, OcsMatrixCellsMatchCounts) {
   ecr::Catalog catalog = UniversityCatalog();
   EquivalenceMap map = UniversityEquivalences(catalog);

@@ -21,7 +21,8 @@ ecr::Schema University() {
 
 TEST(SeedingTest, CategoryContainmentSeeded) {
   AssertionStore store;
-  ASSERT_TRUE(SeedSchemaRelations(store, University()).ok());
+  ecr::Schema schema = University();
+  ASSERT_TRUE(SeedSchemas(store, {&schema}).ok());
   EXPECT_EQ(*store.EstablishedRelation({"sc1", "Student"}, {"sc1", "Person"}),
             SetRelation::kSubset);
   // Transitive: Grad ⊆ Person derived.
@@ -31,7 +32,8 @@ TEST(SeedingTest, CategoryContainmentSeeded) {
 
 TEST(SeedingTest, EntityDisjointnessSeeded) {
   AssertionStore store;
-  ASSERT_TRUE(SeedSchemaRelations(store, University()).ok());
+  ecr::Schema schema = University();
+  ASSERT_TRUE(SeedSchemas(store, {&schema}).ok());
   EXPECT_EQ(
       *store.EstablishedRelation({"sc1", "Person"}, {"sc1", "Department"}),
       SetRelation::kDisjoint);
@@ -48,7 +50,8 @@ TEST(SeedingTest, OptionsDisableEachSeed) {
   options.category_containment = false;
   options.entity_disjointness = false;
   AssertionStore store;
-  ASSERT_TRUE(SeedSchemaRelations(store, University(), options).ok());
+  ecr::Schema schema = University();
+  ASSERT_TRUE(SeedSchemas(store, {&schema}, options).ok());
   EXPECT_EQ(store.user_assertions().size(), 0u);
 }
 
@@ -62,7 +65,8 @@ TEST(SeedingTest, CatchesAssertionsContradictingStructure) {
   ASSERT_TRUE(store.Assert({"sc2", "X"}, {"sc1", "Department"},
                            AssertionType::kEquals)
                   .ok());
-  Status s = SeedSchemaRelations(store, University());
+  ecr::Schema schema = University();
+  Status s = SeedSchemas(store, {&schema});
   EXPECT_EQ(s.code(), StatusCode::kConflict);
 }
 
@@ -77,7 +81,7 @@ TEST(SeedingTest, SharedDescendantSuppressesDisjointnessSeed) {
   b.Category("TA", {"Staff", "Students"});
   ecr::Schema schema = *b.Build();
   AssertionStore store;
-  ASSERT_TRUE(SeedSchemaRelations(store, schema).ok());
+  ASSERT_TRUE(SeedSchemas(store, {&schema}).ok());
   // Staff/Students share TA: unconstrained beyond the closure's derivations.
   EXPECT_FALSE(
       store.EstablishedRelation({"sc", "Staff"}, {"sc", "Students"}).ok());
@@ -103,8 +107,14 @@ TEST(SeedingTest, DeepSharedDescendantSuppressesOnlyItsPair) {
   b.Category("B1", {"B"});
   b.Category("AB", {"A1", "B1"});
   ecr::Schema schema = *b.Build();
+  std::vector<IdAssertion> ids;
+  CollectSchemaSeeds(schema, {}, ids);
   std::vector<Assertion> seeds;
-  CollectSchemaSeedAssertions(schema, {}, seeds);
+  for (const IdAssertion& seed : ids) {
+    seeds.push_back({{"sc", schema.object(seed.first).name},
+                     {"sc", schema.object(seed.second).name},
+                     seed.type});
+  }
   const std::vector<Assertion> want = {
       {{"sc", "A1"}, {"sc", "A"}, AssertionType::kContainedIn},
       {{"sc", "B1"}, {"sc", "B"}, AssertionType::kContainedIn},
@@ -119,9 +129,9 @@ TEST(SeedingTest, DeepSharedDescendantSuppressesOnlyItsPair) {
 TEST(SeedingTest, IdempotentOnConsistentStore) {
   AssertionStore store;
   ecr::Schema schema = University();
-  ASSERT_TRUE(SeedSchemaRelations(store, schema).ok());
+  ASSERT_TRUE(SeedSchemas(store, {&schema}).ok());
   size_t count = store.user_assertions().size();
-  ASSERT_TRUE(SeedSchemaRelations(store, schema).ok());
+  ASSERT_TRUE(SeedSchemas(store, {&schema}).ok());
   // Re-seeding re-asserts compatible facts; no conflicts.
   EXPECT_EQ(store.user_assertions().size(), 2 * count);
 }
