@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 
 namespace ecrint::common {
 
@@ -54,38 +55,54 @@ void ThreadPool::ParallelFor(int begin, int end, int grain,
     return;
   }
 
-  // One latch-style counter for the batch; the first exception in chunk
-  // order wins so a failing ParallelFor reports deterministically.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  int remaining = chunks;
-  std::vector<std::exception_ptr> errors(chunks);
-
-  for (int c = 0; c < chunks; ++c) {
-    int chunk_begin = begin + c * grain;
-    int chunk_end = std::min(end, chunk_begin + grain);
-    Post([&, c, chunk_begin, chunk_end] {
-      try {
-        fn(chunk_begin, chunk_end);
-      } catch (...) {
-        errors[c] = std::current_exception();
-      }
+  // Chunks are claimed from one counter by whoever gets there first: the
+  // posted helpers and the caller itself. The caller therefore never waits
+  // on a chunk that is still queued, only on chunks another thread is
+  // running, which is what keeps a nested ParallelFor from deadlocking when
+  // every worker is blocked in one. A helper that runs after the batch
+  // finished claims nothing and never touches `fn`; it only holds the
+  // shared batch state alive.
+  struct Batch {
+    std::mutex mutex;
+    std::condition_variable done;
+    int next = 0;       // next unclaimed chunk
+    int remaining = 0;  // chunks not yet finished
+    std::vector<std::exception_ptr> errors;
+  };
+  auto batch = std::make_shared<Batch>();
+  batch->remaining = chunks;
+  batch->errors.resize(chunks);
+  // Runs chunks until none is left to claim. The first exception in chunk
+  // order wins, so a failing ParallelFor reports deterministically.
+  auto run_chunks = [begin, end, grain, chunks, &fn](Batch& b) {
+    for (;;) {
+      int c;
       {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --remaining;
-        // Notify under the lock: once the waiter observes remaining == 0
-        // it destroys done_cv/done_mutex (they live on its stack), so this
-        // worker's last touch of them must happen-before that observation
-        // — which holding the lock through the notify guarantees.
-        done_cv.notify_one();
+        std::lock_guard<std::mutex> lock(b.mutex);
+        if (b.next == chunks) return;
+        c = b.next++;
       }
-    });
+      int chunk_begin = begin + c * grain;
+      try {
+        fn(chunk_begin, std::min(end, chunk_begin + grain));
+      } catch (...) {
+        b.errors[c] = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(b.mutex);
+      if (--b.remaining == 0) b.done.notify_all();
+    }
+  };
+
+  int helpers = std::min(chunks - 1, size());
+  for (int h = 0; h < helpers; ++h) {
+    Post([batch, run_chunks] { run_chunks(*batch); });
   }
+  run_chunks(*batch);
   {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
+    std::unique_lock<std::mutex> lock(batch->mutex);
+    batch->done.wait(lock, [&] { return batch->remaining == 0; });
   }
-  for (std::exception_ptr& error : errors) {
+  for (std::exception_ptr& error : batch->errors) {
     if (error) std::rethrow_exception(error);
   }
 }

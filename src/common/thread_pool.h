@@ -12,14 +12,17 @@ namespace ecrint::common {
 
 // A fixed-size pool of worker threads with a single shared task queue (no
 // work stealing; the units of work submitted here are coarse chunks, so a
-// simple queue is contention-free enough). Used by the resemblance data
-// plane to fan out OCS row construction and pair scoring on large schemas.
+// simple queue is contention-free enough). Used by the assertion store's
+// clustered batch path to close independent constraint clusters at once.
 //
-// ParallelFor is the intended entry point: it splits [begin, end) into
-// chunks of at most `grain` indices and blocks until every chunk ran. Work
-// is executed inline on the calling thread when the pool has no workers or
-// the range fits in a single chunk, so small inputs take the exact same
-// code path (and produce bit-identical results) as a single-threaded build.
+// ParallelFor is the only entry point: it splits [begin, end) into chunks
+// of at most `grain` indices and blocks until every chunk ran. Work is
+// executed inline on the calling thread when the pool has no workers or the
+// range fits in a single chunk, so small inputs take the exact same code
+// path (and produce bit-identical results) as a single-threaded build.
+// The caller runs chunks of its own batch while it waits, so a ParallelFor
+// issued from inside a pool worker (nested) always finishes, even when
+// every worker is blocked in one.
 class ThreadPool {
  public:
   // Spawns `num_threads` workers; values < 1 are clamped to 1. A pool of
@@ -40,19 +43,17 @@ class ThreadPool {
   void ParallelFor(int begin, int end, int grain,
                    const std::function<void(int, int)>& fn);
 
-  // Enqueues one task for any worker; returns immediately. The fire-and-
-  // forget primitive ParallelFor is built on, exposed for callers that
-  // manage their own completion (the service plane runs snapshot reads
-  // here). Tasks posted after the destructor started are never executed;
-  // the destructor drains tasks already queued.
-  void Post(std::function<void()> task);
-
   // Process-wide pool sized to the hardware concurrency. Lazily constructed
   // on first use and kept alive for the process lifetime.
   static ThreadPool& Shared();
 
  private:
   void WorkerLoop();
+
+  // Enqueues one task for any worker; returns immediately. Tasks posted
+  // after the destructor started are never executed; the destructor drains
+  // tasks already queued.
+  void Post(std::function<void()> task);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

@@ -107,6 +107,7 @@ int AssertionStore::Intern(const ObjectRef& ref) {
 int AssertionStore::AddObject(const ObjectRef& ref) { return Intern(ref); }
 
 void AssertionStore::ForgetObjectsFrom(int n) {
+  if (n < num_objects()) ++object_forgets_;
   for (int id = num_objects() - 1; id >= n; --id) {
     index_.erase(objects_[id]);
     rel_[Cell(id, id)] = kAnyRelation;

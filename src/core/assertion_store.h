@@ -110,6 +110,11 @@ class AssertionStore {
   // consumers (phase 4's lattice and cluster passes) resolve each structure
   // once and then read pairs by id instead of hashing two names per pair.
   int IdOf(const ObjectRef& ref) const;
+  // How many times the store unregistered objects (a conflicting batch
+  // forgets the endpoints it interned). While this is unchanged, ids only
+  // ever grow: a reader that cached IdOf answers for objects()[0, n) may
+  // trust them, and needs to look up again only what was unknown.
+  int64_t object_forgets() const { return object_forgets_; }
   RelationSet RelationAt(int a, int b) const { return rel_[Cell(a, b)]; }
   bool IsIntegratingAt(int a, int b) const;
 
@@ -372,6 +377,7 @@ class AssertionStore {
 
   std::vector<ObjectRef> objects_;
   std::unordered_map<ObjectRef, int, ObjectRefHash> index_;
+  int64_t object_forgets_ = 0;
 
   // Packed pair state, all row-major with stride capacity_ (a multiple of
   // 64, grown by half when an Intern overflows it, or once to a seed

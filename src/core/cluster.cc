@@ -10,12 +10,17 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
   std::vector<int> ids;
   ids.reserve(universe.size());
   for (const ObjectRef& ref : universe) ids.push_back(store.IdOf(ref));
-  return BuildClusters(store, universe, ids);
+  std::vector<int> order(universe.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int a, int b) { return universe[a] < universe[b]; });
+  return BuildClusters(store, universe, ids, order);
 }
 
 std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe,
-                                   const std::vector<int>& ids) {
+                                   const std::vector<int>& ids,
+                                   const std::vector<int>& order) {
   int n = static_cast<int>(universe.size());
   std::vector<int> parent(n);
   std::iota(parent.begin(), parent.end(), 0);
@@ -60,10 +65,6 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
 
   // Walking the positions in name order sorts every cluster's members and
   // orders the clusters by their first member in one pass.
-  std::vector<int> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return universe[a] < universe[b]; });
   std::vector<int> cluster_of_root(n, -1);
   std::vector<Cluster> clusters;
   for (int i : order) {

@@ -24,10 +24,12 @@ std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe);
 
 // The same, for callers that already resolved each universe member's
-// store id (AssertionStore::IdOf, -1 when unknown) as `ids`.
+// store id (AssertionStore::IdOf, -1 when unknown) as `ids` and listed the
+// universe's positions in name (ObjectRef) order as `order`.
 std::vector<Cluster> BuildClusters(const AssertionStore& store,
                                    const std::vector<ObjectRef>& universe,
-                                   const std::vector<int>& ids);
+                                   const std::vector<int>& ids,
+                                   const std::vector<int>& order);
 
 }  // namespace ecrint::core
 

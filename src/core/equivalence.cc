@@ -1,6 +1,7 @@
 #include "core/equivalence.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <utility>
@@ -46,22 +47,26 @@ Result<EquivalenceMap> EquivalenceMap::Create(
   std::vector<Entry>& entries = registry->entries;
   entries.reserve(total_attributes);
   registry->attribute_index.Reserve(total_attributes);
+  registry->structure_of.reserve(total_attributes);
   registry->structures.reserve(total_structures);
   registry->structure_index.Reserve(total_structures);
+  registry->schemas.reserve(schemas.size());
 
   // A structure's attributes are the contiguous id range registered here,
   // so the per-structure bookkeeping is one StructureEntry, no id vector.
   auto register_structure = [&registry, &entries](
                                 const std::string& schema,
                                 const std::string& structure,
+                                StructureKind kind, int ordinal,
                                 const std::vector<ecr::Attribute>& attrs) {
-    if (attrs.empty()) return;
+    int s = static_cast<int>(registry->structures.size());
     int begin = static_cast<int>(entries.size());
     size_t prefix = ecr::AttributePathHash::PrefixHash(schema, structure);
     for (const ecr::Attribute& a : attrs) {
       int index = static_cast<int>(entries.size());
       entries.push_back(
           Entry{{schema, structure, a.name}, a.domain, a.is_key});
+      registry->structure_of.push_back(s);
       registry->attribute_index.Insert(
           ecr::AttributePathHash::WithAttribute(prefix, a.name), index,
           entries.size());
@@ -69,23 +74,34 @@ Result<EquivalenceMap> EquivalenceMap::Create(
     int end = static_cast<int>(entries.size());
     ObjectRef ref{schema, structure};
     size_t hash = HashRef(ref);
-    registry->structures.push_back({std::move(ref), begin, end});
-    registry->structure_index.Insert(
-        hash, static_cast<int>(registry->structures.size()) - 1,
-        registry->structures.size());
+    StructureEntry& entry = registry->structures.emplace_back();
+    entry.ref = std::move(ref);
+    entry.kind = kind;
+    entry.ordinal = ordinal;
+    entry.begin = begin;
+    entry.end = end;
+    registry->structure_index.Insert(hash, s, registry->structures.size());
   };
   for (const std::string& name : schemas) {
     ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
                             catalog.GetSchema(name));
+    SchemaEntry& entry = registry->schemas.emplace_back();
+    entry.name = name;
+    entry.objects_begin = static_cast<int>(registry->structures.size());
     for (ecr::ObjectId i = 0; i < schema->num_objects(); ++i) {
       const ecr::ObjectClass& object = schema->object(i);
-      register_structure(name, object.name, object.attributes);
+      register_structure(name, object.name, StructureKind::kObjectClass, i,
+                         object.attributes);
     }
+    entry.relationships_begin = static_cast<int>(registry->structures.size());
     for (ecr::RelationshipId i = 0; i < schema->num_relationships(); ++i) {
       const ecr::RelationshipSet& rel = schema->relationship(i);
-      register_structure(name, rel.name, rel.attributes);
+      register_structure(name, rel.name, StructureKind::kRelationshipSet, i,
+                         rel.attributes);
     }
+    entry.end = static_cast<int>(registry->structures.size());
   }
+  RankByName(*registry);
 
   // Every attribute starts as a singleton class: its own root, ring and
   // minimum.
@@ -100,7 +116,58 @@ Result<EquivalenceMap> EquivalenceMap::Create(
   return map;
 }
 
-int EquivalenceMap::Find(int index) const {
+void EquivalenceMap::RankByName(Registry& registry) {
+  // Path order is (schema, structure, attribute) order, so it is built
+  // level by level: schemas by name, each schema's structures by name, each
+  // structure's attributes by name. The per-kind structure order gives the
+  // name ranks; merging the two kinds gives the schema's path order (a
+  // schema never names an object class and a relationship set alike).
+  const std::vector<StructureEntry>& structures = registry.structures;
+  auto by_name = [&structures](int a, int b) {
+    return structures[a].ref.object < structures[b].ref.object;
+  };
+  std::vector<int> schema_order(registry.schemas.size());
+  std::iota(schema_order.begin(), schema_order.end(), 0);
+  std::stable_sort(schema_order.begin(), schema_order.end(),
+                   [&registry](int a, int b) {
+                     return registry.schemas[a].name < registry.schemas[b].name;
+                   });
+  registry.path_rank.resize(registry.entries.size());
+  int next_rank = 0;
+  std::vector<int> objects, relationships, merged, attributes;
+  for (int k : schema_order) {
+    const SchemaEntry& schema = registry.schemas[k];
+    objects.resize(schema.relationships_begin - schema.objects_begin);
+    std::iota(objects.begin(), objects.end(), schema.objects_begin);
+    std::stable_sort(objects.begin(), objects.end(), by_name);
+    relationships.resize(schema.end - schema.relationships_begin);
+    std::iota(relationships.begin(), relationships.end(),
+              schema.relationships_begin);
+    std::stable_sort(relationships.begin(), relationships.end(), by_name);
+    for (size_t r = 0; r < objects.size(); ++r) {
+      registry.structures[objects[r]].name_rank = static_cast<int>(r);
+    }
+    for (size_t r = 0; r < relationships.size(); ++r) {
+      registry.structures[relationships[r]].name_rank = static_cast<int>(r);
+    }
+    merged.clear();
+    std::merge(objects.begin(), objects.end(), relationships.begin(),
+               relationships.end(), std::back_inserter(merged), by_name);
+    for (int s : merged) {
+      const StructureEntry& structure = structures[s];
+      attributes.resize(structure.end - structure.begin);
+      std::iota(attributes.begin(), attributes.end(), structure.begin);
+      std::stable_sort(attributes.begin(), attributes.end(),
+                       [&registry](int a, int b) {
+                         return registry.entries[a].path.attribute <
+                                registry.entries[b].path.attribute;
+                       });
+      for (int id : attributes) registry.path_rank[id] = next_rank++;
+    }
+  }
+}
+
+int EquivalenceMap::Find(int index) {
   while (parent_[index] != index) {
     parent_[index] = parent_[parent_[index]];
     index = parent_[index];
@@ -197,8 +264,8 @@ Result<int> EquivalenceMap::ClassOf(const ecr::AttributePath& path) const {
   // Class number = 1 + smallest declaration index in the class. Mirrors the
   // paper's behaviour where merging "changes the value of Eq_Class # of one
   // to that of the other": the earlier attribute's number wins. The root
-  // caches that minimum, so this is O(α).
-  return min_id_[Find(index)] + 1;
+  // caches that minimum, so this is one walk to the root.
+  return min_id_[Root(index)] + 1;
 }
 
 bool EquivalenceMap::AreEquivalent(const ecr::AttributePath& a,
@@ -206,7 +273,7 @@ bool EquivalenceMap::AreEquivalent(const ecr::AttributePath& a,
   Result<int> ia = IndexOf(a);
   Result<int> ib = IndexOf(b);
   if (!ia.ok() || !ib.ok()) return false;
-  return Find(*ia) == Find(*ib);
+  return Root(*ia) == Root(*ib);
 }
 
 int EquivalenceMap::EquivalentAttributeCount(const ObjectRef& a,
@@ -221,8 +288,8 @@ int EquivalenceMap::EquivalentAttributeCount(const ObjectRef& a,
   std::vector<int> roots_a, roots_b;
   roots_a.reserve(ea.end - ea.begin);
   roots_b.reserve(eb.end - eb.begin);
-  for (int i = ea.begin; i < ea.end; ++i) roots_a.push_back(Find(i));
-  for (int j = eb.begin; j < eb.end; ++j) roots_b.push_back(Find(j));
+  for (int i = ea.begin; i < ea.end; ++i) roots_a.push_back(Root(i));
+  for (int j = eb.begin; j < eb.end; ++j) roots_b.push_back(Root(j));
   std::sort(roots_a.begin(), roots_a.end());
   std::sort(roots_b.begin(), roots_b.end());
   int count = 0;
@@ -251,27 +318,17 @@ std::vector<AttributeClassEntry> EquivalenceMap::EntriesFor(
   const StructureEntry& entry = registry_->structures[s];
   out.reserve(entry.end - entry.begin);
   for (int index = entry.begin; index < entry.end; ++index) {
-    out.push_back({PathAt(index), min_id_[Find(index)] + 1});
+    out.push_back({PathAt(index), min_id_[Root(index)] + 1});
   }
   return out;
 }
 
 std::vector<std::vector<int>> EquivalenceMap::NontrivialClassIndices() const {
   std::vector<std::vector<int>> out;
-  for (int i = 0; i < num_attributes(); ++i) {
-    if (parent_[i] != i || class_size_[i] < 2) continue;
-    std::vector<int> ids;
-    ids.reserve(class_size_[i]);
-    AppendClassIds(i, ids);
-    std::sort(ids.begin(), ids.end());
-    out.push_back(std::move(ids));
-  }
-  // Class number order == smallest-member order, which is ids.front() after
-  // the per-class sort.
-  std::sort(out.begin(), out.end(),
-            [](const std::vector<int>& x, const std::vector<int>& y) {
-              return x.front() < y.front();
-            });
+  ForEachNontrivialClass([&out](std::vector<int>& members) {
+    std::sort(members.begin(), members.end());
+    out.push_back(members);
+  });
   return out;
 }
 
@@ -293,7 +350,7 @@ std::vector<ecr::AttributePath> EquivalenceMap::ClassMembers(
   std::vector<ecr::AttributePath> out;
   Result<int> index = IndexOf(path);
   if (!index.ok()) return out;
-  int root = Find(*index);
+  int root = Root(*index);
   std::vector<int> ids;
   ids.reserve(class_size_[root]);
   AppendClassIds(root, ids);

@@ -36,7 +36,8 @@ struct AttributeClassEntry {
 // classes by swapping the roots' next pointers (O(1)); RemoveFromClass
 // walks and re-roots only the affected class. So class queries never scan
 // all attributes:
-//   - ClassOf is O(α): the class number is 1 + the root's cached min id.
+//   - ClassOf walks to the root, O(log n) under union by size: the class
+//     number is 1 + the root's cached min id.
 //   - NontrivialClasses / ClassMembers walk only their class's ring.
 //   - EquivalentAttributeCount merges the two objects' sorted root lists
 //     instead of probing all |A|·|B| pairs.
@@ -45,12 +46,21 @@ struct AttributeClassEntry {
 // out while registering it, so registration performs no per-attribute or
 // per-structure node allocation.
 //
-// What Create registers (the attribute entries, both probe indexes and the
-// structure ranges) never changes afterwards, so it lives in one immutable
-// registry that every copy of the map shares. A copy owns only the four
-// class arrays, so the snapshot a publish cuts after each declare is four
-// int vectors, not the registry's strings. A default-constructed map shares
-// an empty registry and answers as a map over no schemas.
+// What Create registers (the attribute entries, both probe indexes, every
+// structure with its attribute-id range, and the id tables below) never
+// changes afterwards, so it lives in one immutable registry that every copy
+// of the map shares. A copy owns only the four class arrays, so the
+// snapshot a publish cuts after each declare is four int vectors, not the
+// registry's strings. A default-constructed map shares an empty registry
+// and answers as a map over no schemas.
+//
+// The registry's id tables let bulk readers (the OCS ranking, phase 4's
+// class resolution) work on ids instead of names: each attribute id's
+// structure and its rank in AttributePath order, each structure's kind,
+// ordinal and name rank, and each schema's structure ranges. They are
+// built eagerly in Create, and readers never write to a map (no lazy
+// state, no path compression), so snapshot readers on several threads can
+// share one.
 class EquivalenceMap {
  public:
   // Registers every attribute of every object class and relationship set of
@@ -87,10 +97,28 @@ class EquivalenceMap {
   std::vector<std::vector<ecr::AttributePath>> NontrivialClasses() const;
 
   // The same classes as interned attribute ids, each sorted ascending
-  // (which is declaration order), ordered by class number. This is the
-  // entry point for bulk consumers such as the OCS matrix build, which
-  // scatter per-class counts instead of probing every structure pair.
+  // (which is declaration order), ordered by class number.
   std::vector<std::vector<int>> NontrivialClassIndices() const;
+
+  // Calls fn(members) for every class with two or more members, in class
+  // number order, where `members` is a std::vector<int>& of the class's
+  // attribute ids in no particular order. One buffer is reused for every
+  // class (the callee may reorder it), so the walk allocates once. This is
+  // the entry point for bulk consumers: the OCS matrix build scatters each
+  // class into the cells it touches, phase 4 resolves its members.
+  template <typename Fn>
+  void ForEachNontrivialClass(Fn&& fn) const {
+    std::vector<int> members;
+    // Class number order is smallest-member order: visit a class at its
+    // smallest id.
+    for (int id = 0; id < num_attributes(); ++id) {
+      int root = Root(id);
+      if (class_size_[root] < 2 || min_id_[root] != id) continue;
+      members.clear();
+      AppendClassIds(root, members);
+      fn(members);
+    }
+  }
 
   // Members of the class containing `path` (including `path` itself).
   std::vector<ecr::AttributePath> ClassMembers(
@@ -115,6 +143,65 @@ class EquivalenceMap {
     return static_cast<int>(registry_->entries.size());
   }
 
+  // --- the registry on ids --------------------------------------------------
+
+  // A registered structure: every object class and relationship set of the
+  // named schemas, with or without attributes, in registration order (per
+  // schema: object classes, then relationship sets, each by ordinal).
+  struct StructureEntry {
+    ObjectRef ref;
+    StructureKind kind = StructureKind::kObjectClass;
+    int ordinal = 0;  // its ObjectId / RelationshipId when registered
+    // Its position among its schema's structures of its kind when sorted by
+    // name, in std::string order (the order ObjectRef::operator< gives).
+    int name_rank = 0;
+    int begin = 0;  // attribute ids [begin, end), handed out in
+    int end = 0;    // declaration order
+  };
+
+  // A registered schema: its structures of each kind are the contiguous
+  // ranges [objects_begin, relationships_begin) and
+  // [relationships_begin, end) of structures.
+  struct SchemaEntry {
+    std::string name;
+    int objects_begin = 0;
+    int relationships_begin = 0;
+    int end = 0;
+
+    int Begin(StructureKind kind) const {
+      return kind == StructureKind::kObjectClass ? objects_begin
+                                                 : relationships_begin;
+    }
+    int End(StructureKind kind) const {
+      return kind == StructureKind::kObjectClass ? relationships_begin : end;
+    }
+  };
+
+  const std::vector<SchemaEntry>& schemas() const {
+    return registry_->schemas;
+  }
+  int num_structures() const {
+    return static_cast<int>(registry_->structures.size());
+  }
+  const StructureEntry& StructureAt(int s) const {
+    return registry_->structures[s];
+  }
+  // The structure an attribute id was registered under.
+  int StructureOf(int id) const { return registry_->structure_of[id]; }
+  // The position of PathAt(id) among all registered paths in AttributePath
+  // order: sorting ids by it sorts them by path.
+  int PathRank(int id) const { return registry_->path_rank[id]; }
+
+  // Keeps this map's registry alive, so a cache keyed by it (phase 4's
+  // integration plan) can ask HasRegistry later: the registry it holds
+  // cannot be freed and its address reused by a new one meanwhile. Every
+  // copy of a map answers for the registry of the Create call it came from.
+  using RegistryHandle = std::shared_ptr<const void>;
+  RegistryHandle registry_handle() const { return registry_; }
+  bool HasRegistry(const RegistryHandle& handle) const {
+    return handle == registry_;
+  }
+
  private:
   struct Entry {
     ecr::AttributePath path;
@@ -122,26 +209,29 @@ class EquivalenceMap {
     bool is_key = false;
   };
 
-  // A registered structure and the contiguous attribute-id range
-  // [begin, end) handed out while registering it.
-  struct StructureEntry {
-    ObjectRef ref;
-    int begin = 0;
-    int end = 0;
-  };
-
   // Everything Create registers; immutable once built.
   struct Registry {
     std::vector<Entry> entries;
     common::ProbeTable attribute_index;
+    std::vector<int> structure_of;  // attribute id -> structure
+    std::vector<int> path_rank;     // attribute id -> rank in path order
     // Structures with their attribute-id ranges, plus their probe index.
     std::vector<StructureEntry> structures;
     common::ProbeTable structure_index;
+    std::vector<SchemaEntry> schemas;
   };
 
   static const std::shared_ptr<const Registry>& EmptyRegistry();
+  // Fills every structure's name_rank and every attribute's path_rank.
+  static void RankByName(Registry& registry);
 
-  int Find(int index) const;  // union-find root with path compression
+  // Union-find root. Find compresses the path and is for mutators only;
+  // Root only reads, so concurrent readers of one map never write.
+  int Find(int index);
+  int Root(int index) const {
+    while (parent_[index] != index) index = parent_[index];
+    return index;
+  }
 
   Result<int> IndexOf(const ecr::AttributePath& path) const;
   int StructureIndexOf(const ObjectRef& ref) const;  // -1 if unknown
@@ -150,7 +240,7 @@ class EquivalenceMap {
   void AppendClassIds(int root, std::vector<int>& out) const;
 
   std::shared_ptr<const Registry> registry_ = EmptyRegistry();
-  mutable std::vector<int> parent_;  // union-find forest
+  std::vector<int> parent_;          // union-find forest
   std::vector<int> next_;            // circular ring of class co-members
   std::vector<int> class_size_;      // valid at roots
   std::vector<int> min_id_;          // valid at roots; drives ClassOf

@@ -20,7 +20,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 // The component structures of one kind, in schema order then declaration
-// order.
+// order, with everything about them that no assertion changes. An
+// IntegrationPlan holds one per kind.
 struct Universe {
   StructureKind kind = StructureKind::kObjectClass;
   std::vector<const ecr::Schema*> schemas;  // as listed, repeats included
@@ -32,6 +33,14 @@ struct Universe {
   // The position a lookup by name resolves to: the same structure in the
   // last listing of its schema (itself unless a schema is listed twice).
   std::vector<int> canonical;
+  // Positions in name (ObjectRef) order: the order clusters list members.
+  std::vector<int> order;
+  // The attribute table's layout: position p's attributes are entries
+  // [attribute_begin[p], attribute_begin[p + 1]).
+  std::vector<int> attribute_begin;
+  // Per entry slot of position p, the attribute indices of p in name order:
+  // the order a structure mapping lists its attributes.
+  std::vector<int> attribute_order;
 
   int size() const { return static_cast<int>(refs.size()); }
 
@@ -46,10 +55,24 @@ struct Universe {
     }
     return -1;
   }
+
+  // The attribute-table entry of the attribute at `path`, or -1 when this
+  // universe does not declare it.
+  int EntryOf(const ecr::AttributePath& path) const {
+    int p = PositionOf(path.schema, path.object);
+    if (p < 0) return -1;
+    const std::vector<ecr::Attribute>& declared = *attributes[p];
+    for (size_t t = 0; t < declared.size(); ++t) {
+      if (declared[t].name == path.attribute) {
+        return attribute_begin[p] + static_cast<int>(t);
+      }
+    }
+    return -1;
+  }
 };
 
 Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
-                      StructureKind kind, const AssertionStore& store) {
+                      StructureKind kind) {
   Universe u;
   u.kind = kind;
   u.schemas = schemas;
@@ -62,6 +85,8 @@ Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
   u.refs.reserve(total);
   u.attributes.reserve(total);
   u.listing.reserve(total);
+  u.attribute_begin.reserve(total + 1);
+  u.attribute_begin.push_back(0);
   for (int k = 0; k < listings; ++k) {
     const ecr::Schema& schema = *schemas[k];
     u.offset.push_back(u.size());
@@ -74,10 +99,12 @@ Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
       u.attributes.push_back(objects ? &schema.object(i).attributes
                                      : &schema.relationship(i).attributes);
       u.listing.push_back(k);
+      int declared = static_cast<int>(u.attributes.back()->size());
+      u.attribute_begin.push_back(u.attribute_begin.back() + declared);
     }
   }
   u.canonical.resize(u.refs.size());
-  u.ids.resize(u.refs.size());
+  u.ids.assign(u.refs.size(), -1);
   for (int p = 0; p < u.size(); ++p) {
     int k = u.listing[p];
     int last = k;
@@ -85,7 +112,19 @@ Universe MakeUniverse(const std::vector<const ecr::Schema*>& schemas,
       if (schemas[later]->name() == schemas[k]->name()) last = later;
     }
     u.canonical[p] = u.offset[last] + (p - u.offset[k]);
-    u.ids[p] = store.IdOf(u.refs[p]);
+  }
+  u.order.resize(u.refs.size());
+  std::iota(u.order.begin(), u.order.end(), 0);
+  std::stable_sort(u.order.begin(), u.order.end(),
+                   [&u](int a, int b) { return u.refs[a] < u.refs[b]; });
+  u.attribute_order.resize(u.attribute_begin.back());
+  for (int p = 0; p < u.size(); ++p) {
+    const std::vector<ecr::Attribute>& declared = *u.attributes[p];
+    int* slots = u.attribute_order.data() + u.attribute_begin[p];
+    std::iota(slots, slots + declared.size(), 0);
+    std::stable_sort(slots, slots + declared.size(), [&declared](int x, int y) {
+      return declared[x].name < declared[y].name;
+    });
   }
   return u;
 }
@@ -472,10 +511,10 @@ struct SourceAttribute {
   }
 };
 
-// The component attributes of one universe, laid out by position.
+// The component attributes of one universe, laid out by position as
+// Universe::attribute_begin says.
 struct AttributeTable {
   std::vector<SourceAttribute> entries;
-  std::vector<int> begin;  // first entry of each position
   // Per canonical entry: the entry whose placement the mappings report.
   // Placement writes each attribute path's target once per entry — derived
   // attributes first, then copies in entry order — and the last write
@@ -483,37 +522,17 @@ struct AttributeTable {
   std::vector<int> survivor;
 
   int Canonical(const Universe& universe, int entry) const {
+    const std::vector<int>& begin = universe.attribute_begin;
     int p = entries[entry].position;
     return begin[universe.canonical[p]] + (entry - begin[p]);
-  }
-
-  // The entry of the attribute at `path`, or -1 when this universe does
-  // not declare it.
-  int EntryOf(const Universe& universe,
-              const ecr::AttributePath& path) const {
-    int p = universe.PositionOf(path.schema, path.object);
-    if (p < 0) return -1;
-    const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
-    for (size_t t = 0; t < attributes.size(); ++t) {
-      if (attributes[t].name == path.attribute) {
-        return begin[p] + static_cast<int>(t);
-      }
-    }
-    return -1;
   }
 };
 
 AttributeTable MakeAttributeTable(const Universe& universe,
                                   const Lattice& lattice) {
   AttributeTable table;
-  table.begin.reserve(universe.size());
-  size_t total = 0;
-  for (const std::vector<ecr::Attribute>* attributes : universe.attributes) {
-    total += attributes->size();
-  }
-  table.entries.reserve(total);
+  table.entries.reserve(universe.attribute_begin.back());
   for (int p = 0; p < universe.size(); ++p) {
-    table.begin.push_back(static_cast<int>(table.entries.size()));
     for (const ecr::Attribute& a : *universe.attributes[p]) {
       table.entries.push_back(
           {p, &a, lattice.node_of[universe.canonical[p]], -1, {}, false});
@@ -698,6 +717,100 @@ std::vector<NodeParticipation> MergeParticipantLists(
 }  // namespace
 
 // ---------------------------------------------------------------------------
+// IntegrationPlan.
+// ---------------------------------------------------------------------------
+
+struct IntegrationPlan::Impl {
+  std::vector<std::string> schemas;
+  Universe objects;
+  Universe relationships;
+  // Per registered attribute id: its entry in the object attribute table
+  // (>= 0), in the relationship table (kRelationshipEntry - entry), or -1
+  // when neither universe declares it.
+  std::vector<int> entry_of;
+  EquivalenceMap::RegistryHandle registry;
+  // The store the ids were last synced with, and its state then.
+  int64_t store_serial = -1;
+  int64_t store_forgets = -1;
+  int store_objects = 0;
+
+  static constexpr int kRelationshipEntry = -2;
+};
+
+IntegrationPlan::IntegrationPlan(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+IntegrationPlan::IntegrationPlan(IntegrationPlan&&) noexcept = default;
+IntegrationPlan& IntegrationPlan::operator=(IntegrationPlan&&) noexcept =
+    default;
+IntegrationPlan::~IntegrationPlan() = default;
+
+Result<IntegrationPlan> IntegrationPlan::Build(
+    const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
+    const EquivalenceMap& equivalence) {
+  if (schemas.empty()) {
+    return InvalidArgumentError("Integrate needs at least one schema");
+  }
+  std::vector<const ecr::Schema*> components;
+  components.reserve(schemas.size());
+  for (const std::string& name : schemas) {
+    ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
+                            catalog.GetSchema(name));
+    components.push_back(schema);
+  }
+  auto impl = std::make_unique<Impl>();
+  impl->schemas = schemas;
+  impl->objects = MakeUniverse(components, StructureKind::kObjectClass);
+  impl->relationships =
+      MakeUniverse(components, StructureKind::kRelationshipSet);
+  impl->registry = equivalence.registry_handle();
+
+  // Each registered attribute resolves, by name and once per plan, to the
+  // table entry of the universe that declares it (object and relationship
+  // names never coincide in a schema). A map older than the catalog
+  // resolves as a lookup by name would: what the catalog lost, nowhere.
+  impl->entry_of.resize(equivalence.num_attributes());
+  for (int id = 0; id < equivalence.num_attributes(); ++id) {
+    const ecr::AttributePath& path = equivalence.PathAt(id);
+    int entry = impl->objects.EntryOf(path);
+    if (entry < 0) {
+      entry = impl->relationships.EntryOf(path);
+      if (entry >= 0) entry = Impl::kRelationshipEntry - entry;
+    }
+    impl->entry_of[id] = entry;
+  }
+  return IntegrationPlan(std::move(impl));
+}
+
+const std::vector<std::string>& IntegrationPlan::schemas() const {
+  return impl_->schemas;
+}
+
+bool IntegrationPlan::BuiltFor(const EquivalenceMap& equivalence) const {
+  return equivalence.HasRegistry(impl_->registry);
+}
+
+void IntegrationPlan::SyncIds(const AssertionStore& store,
+                              int64_t store_serial) {
+  Impl& plan = *impl_;
+  // The same store, never shrunk since: ids already read still hold, and
+  // only structures it did not know then can have one now.
+  bool grown = plan.store_serial == store_serial &&
+               plan.store_forgets == store.object_forgets() &&
+               plan.store_objects <= store.num_objects();
+  if (grown && plan.store_objects == store.num_objects()) return;
+  for (Universe* universe : {&plan.objects, &plan.relationships}) {
+    for (int p = 0; p < universe->size(); ++p) {
+      if (!grown || universe->ids[p] < 0) {
+        universe->ids[p] = store.IdOf(universe->refs[p]);
+      }
+    }
+  }
+  plan.store_serial = store_serial;
+  plan.store_forgets = store.object_forgets();
+  plan.store_objects = store.num_objects();
+}
+
+// ---------------------------------------------------------------------------
 // Integrate().
 // ---------------------------------------------------------------------------
 
@@ -737,6 +850,17 @@ Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& assertions,
     const IntegrationOptions& options, IntegrateTimings* timings) {
+  ECRINT_ASSIGN_OR_RETURN(
+      IntegrationPlan plan,
+      IntegrationPlan::Build(catalog, schemas, equivalence));
+  plan.SyncIds(assertions, /*store_serial=*/0);
+  return IntegrateSeeded(plan, equivalence, assertions, options, timings);
+}
+
+Result<IntegrationResult> IntegrateSeeded(
+    const IntegrationPlan& plan, const EquivalenceMap& equivalence,
+    const AssertionStore& assertions, const IntegrationOptions& options,
+    IntegrateTimings* timings) {
   // Charges the time since the previous lap to one sub-phase.
   common::Stopwatch watch(common::RealClock());
   auto lap = [&](int64_t IntegrateTimings::*phase) {
@@ -744,21 +868,19 @@ Result<IntegrationResult> IntegrateSeeded(
     timings->*phase += watch.ElapsedNs();
     watch.Restart();
   };
-  if (schemas.empty()) {
-    return InvalidArgumentError("Integrate needs at least one schema");
+  const IntegrationPlan::Impl& p = *plan.impl_;
+  // Ids index per-attribute and per-store-id arrays below: a plan built for
+  // another registry or last synced with another store size must not run.
+  if (!plan.BuiltFor(equivalence) ||
+      p.store_objects != assertions.num_objects() ||
+      p.store_forgets != assertions.object_forgets()) {
+    return FailedPreconditionError(
+        "integration plan was not built for this equivalence map or not "
+        "synced with this store");
   }
-  std::vector<const ecr::Schema*> components;
-  components.reserve(schemas.size());
-  for (const std::string& name : schemas) {
-    ECRINT_ASSIGN_OR_RETURN(const ecr::Schema* schema,
-                            catalog.GetSchema(name));
-    components.push_back(schema);
-  }
-
-  Universe object_universe =
-      MakeUniverse(components, StructureKind::kObjectClass, assertions);
-  Universe relationship_universe =
-      MakeUniverse(components, StructureKind::kRelationshipSet, assertions);
+  const Universe& object_universe = p.objects;
+  const Universe& relationship_universe = p.relationships;
+  const std::vector<const ecr::Schema*>& components = object_universe.schemas;
 
   common::StringInterner used_names;
   used_names.Reserve(2 * static_cast<size_t>(object_universe.size() +
@@ -774,10 +896,12 @@ Result<IntegrationResult> IntegrateSeeded(
 
   IntegrationResult result;
   result.schema.set_name(options.result_name);
-  result.object_clusters = BuildClusters(assertions, object_universe.refs,
-                                         object_universe.ids);
+  result.object_clusters =
+      BuildClusters(assertions, object_universe.refs, object_universe.ids,
+                    object_universe.order);
   result.relationship_clusters = BuildClusters(
-      assertions, relationship_universe.refs, relationship_universe.ids);
+      assertions, relationship_universe.refs, relationship_universe.ids,
+      relationship_universe.order);
   lap(&IntegrateTimings::clusters_ns);
 
   // --- attributes ----------------------------------------------------------
@@ -785,27 +909,26 @@ Result<IntegrationResult> IntegrateSeeded(
                                                         objects);
   AttributeTable relationship_attributes =
       MakeAttributeTable(relationship_universe, rels);
-  // Each class member resolves once to the table entry of the universe that
-  // declares it (object and relationship names never coincide in a schema).
+  // Each class, in class-number order, as the table entries of its members
+  // in path order; the plan resolved every attribute id to its entry.
   ClassEntries object_classes;
   ClassEntries relationship_classes;
-  for (std::vector<int>& ids : equivalence.NontrivialClassIndices()) {
-    std::sort(ids.begin(), ids.end(), [&](int x, int y) {
-      return equivalence.PathAt(x) < equivalence.PathAt(y);
+  equivalence.ForEachNontrivialClass([&](std::vector<int>& ids) {
+    std::sort(ids.begin(), ids.end(), [&equivalence](int x, int y) {
+      return equivalence.PathRank(x) < equivalence.PathRank(y);
     });
     for (int id : ids) {
-      const ecr::AttributePath& path = equivalence.PathAt(id);
-      int entry = object_attributes.EntryOf(object_universe, path);
+      int entry = p.entry_of[id];
       if (entry >= 0) {
         object_classes.entries.push_back(entry);
-        continue;
+      } else if (entry <= IntegrationPlan::Impl::kRelationshipEntry) {
+        relationship_classes.entries.push_back(
+            IntegrationPlan::Impl::kRelationshipEntry - entry);
       }
-      entry = relationship_attributes.EntryOf(relationship_universe, path);
-      if (entry >= 0) relationship_classes.entries.push_back(entry);
     }
     object_classes.EndClass();
     relationship_classes.EndClass();
-  }
+  });
   PlaceAttributes(objects, object_universe, object_attributes,
                   object_classes, options, result.derived_attributes);
   PlaceAttributes(rels, relationship_universe, relationship_attributes,
@@ -963,7 +1086,6 @@ Result<IntegrationResult> IntegrateSeeded(
   auto emit_mappings = [&result](const Lattice& lattice,
                                  const Universe& universe,
                                  const AttributeTable& table) {
-    std::vector<int> order;
     for (const Node& node : lattice.nodes) {
       for (int source : node.sources) {
         StructureMapping& mapping = result.mappings.emplace_back();
@@ -971,16 +1093,12 @@ Result<IntegrationResult> IntegrateSeeded(
         mapping.kind = universe.kind;
         mapping.target = node.name;
         int p = universe.canonical[source];
-        const std::vector<ecr::Attribute>& attributes = *universe.attributes[p];
-        mapping.attributes.reserve(attributes.size());
-        order.resize(attributes.size());
-        std::iota(order.begin(), order.end(), 0);
-        std::sort(order.begin(), order.end(), [&](int x, int y) {
-          return attributes[x].name < attributes[y].name;
-        });
-        for (int t : order) {
-          const SourceAttribute& a =
-              table.entries[table.survivor[table.begin[p] + t]];
+        int begin = universe.attribute_begin[p];
+        int end = universe.attribute_begin[p + 1];
+        mapping.attributes.reserve(end - begin);
+        for (int slot = begin; slot < end; ++slot) {
+          int t = universe.attribute_order[slot];
+          const SourceAttribute& a = table.entries[table.survivor[begin + t]];
           mapping.attributes.push_back(AttributeMapping{
               a.attribute->name, lattice.nodes[a.target_node].name,
               a.TargetName()});

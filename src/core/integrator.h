@@ -2,6 +2,7 @@
 #define ECRINT_CORE_INTEGRATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,51 @@ struct IntegrateTimings {
   int64_t mappings_ns = 0;    // provenance and component mappings
 };
 
+// The part of phase 4 that no assertion changes: both component universes
+// (every structure of the listed schemas, with its store id), each
+// universe's name order, each structure's attributes in name order, and the
+// attribute-table entry of every attribute the equivalence registry holds.
+// IntegrateSeeded builds one per call; an Engine keeps one from integrate
+// to integrate, rebuilding it only when the catalog, the schema list or
+// the equivalence registry changes, and syncing its store ids with SyncIds.
+//
+// A plan points into the catalog's schemas, so it is only valid while the
+// catalog is unchanged.
+class IntegrationPlan {
+ public:
+  // Fails, like IntegrateSeeded, on an empty list or an unknown schema.
+  static Result<IntegrationPlan> Build(const ecr::Catalog& catalog,
+                                       const std::vector<std::string>& schemas,
+                                       const EquivalenceMap& equivalence);
+
+  IntegrationPlan(IntegrationPlan&&) noexcept;
+  IntegrationPlan& operator=(IntegrationPlan&&) noexcept;
+  ~IntegrationPlan();
+
+  const std::vector<std::string>& schemas() const;
+  // Whether the plan resolved the registry of `equivalence`: the map it was
+  // built from or any copy of it. The plan holds that registry, so a new
+  // map can never pass for it.
+  bool BuiltFor(const EquivalenceMap& equivalence) const;
+
+  // Brings every structure's store id up to what store.IdOf returns.
+  // `store_serial` names the store: pass a new value whenever another store
+  // takes the place of the last one synced. While the serial and the
+  // store's object_forgets() stay the same the store has only grown, so
+  // only structures it did not know at the last sync are looked up again.
+  void SyncIds(const AssertionStore& store, int64_t store_serial);
+
+ private:
+  struct Impl;
+  explicit IntegrationPlan(std::unique_ptr<Impl> impl);
+  friend Result<IntegrationResult> IntegrateSeeded(
+      const IntegrationPlan& plan, const EquivalenceMap& equivalence,
+      const AssertionStore& seeded, const IntegrationOptions& options,
+      IntegrateTimings* timings);
+
+  std::unique_ptr<Impl> impl_;
+};
+
 // Phase 4 proper, over an already-seeded closure. `seeded` must hold the
 // user assertions plus the output of SeedForIntegration for the same
 // catalog/schemas/options; because path-consistency closure is confluent
@@ -78,10 +124,18 @@ struct IntegrateTimings {
 // independent of assertion order), a cached seeded store extended by one
 // incremental Assert yields exactly the matrix a full replay would.
 // `timings`, when given, receives the sub-phase wall times of this call.
+// Builds an IntegrationPlan for this one call.
 Result<IntegrationResult> IntegrateSeeded(
     const ecr::Catalog& catalog, const std::vector<std::string>& schemas,
     const EquivalenceMap& equivalence, const AssertionStore& seeded,
     const IntegrationOptions& options = {},
+    IntegrateTimings* timings = nullptr);
+
+// The same on a plan built for `equivalence` whose ids were last synced
+// with `seeded` (IntegrationPlan::SyncIds).
+Result<IntegrationResult> IntegrateSeeded(
+    const IntegrationPlan& plan, const EquivalenceMap& equivalence,
+    const AssertionStore& seeded, const IntegrationOptions& options = {},
     IntegrateTimings* timings = nullptr);
 
 }  // namespace ecrint::core

@@ -27,14 +27,18 @@ struct ObjectPair {
 // The derived Object Class Similarity matrix for two schemas: the number of
 // equivalent attributes for every cross-schema structure pair of one kind.
 //
-// The build never probes the dense R×C pair grid: it walks the equivalence
-// map's nontrivial classes once and scatters each class's per-structure
-// member counts into the (few) cells that can be nonzero, so it costs
-// O(total attributes + matches). Above a size threshold the class scatter
-// and the pair scoring fan out over the shared thread pool; below it (and
-// on all paper-sized fixtures) everything runs on the calling thread, and
-// the parallel path accumulates integer partials in a fixed chunk order so
-// results are bit-identical either way.
+// The build never probes the dense R×C pair grid, and never hashes a name:
+// it maps the equivalence registry's structures of the two schemas to rows
+// and columns once, then walks the map's nontrivial classes and scatters
+// each class's per-structure member counts into the (few) cells that can
+// be nonzero, so it costs O(structures + class members + matches). Only
+// the nonzero cells are stored. Ranking sorts them on ints (ratio, then
+// the row's and the column's name rank) and builds ObjectPairs last.
+//
+// Rows and columns always come from the catalog. A map created before the
+// catalog changed (a form edit added, dropped or reordered structures)
+// ranks as if looked up by name: a registered structure the catalog no
+// longer has counts nowhere, one whose ordinal moved is found by its name.
 class OcsMatrix {
  public:
   // Builds the matrix for structures of `kind` across `schema1` x `schema2`.
@@ -47,9 +51,9 @@ class OcsMatrix {
   const std::vector<ObjectRef>& rows() const { return rows_; }
   const std::vector<ObjectRef>& columns() const { return columns_; }
 
-  int Count(int row, int column) const {
-    return counts_[row * static_cast<int>(columns_.size()) + column];
-  }
+  // Equivalent attributes of one cell; a binary search over the nonzero
+  // cells.
+  int Count(int row, int column) const;
 
   // Every pair with at least one equivalent attribute, ordered by descending
   // attribute ratio (the paper's "likelihood of being integrable with
@@ -61,20 +65,31 @@ class OcsMatrix {
 
   // The first `k` pairs of RankedPairs() without paying a full sort
   // (std::partial_sort): interactive suggestion over large matrices only
-  // ever shows a screenful. The comparator is a strict total order, so the
+  // ever shows a screenful. The order is a strict total order, so the
   // prefix is identical to RankedPairs().
   std::vector<ObjectPair> TopKPairs(int k, bool include_zero = false) const;
 
  private:
-  // Unsorted pair construction shared by RankedPairs and TopKPairs.
-  std::vector<ObjectPair> CollectPairs(bool include_zero) const;
+  // A cell with a nonzero count.
+  struct Cell {
+    int row = 0;
+    int column = 0;
+    int count = 0;
+  };
 
+  // The first `limit` pairs in ranking order.
+  std::vector<ObjectPair> Ranked(size_t limit, bool include_zero) const;
+  ObjectPair MakePair(int row, int column, int count) const;
+
+  std::vector<ObjectRef> rows_;
+  std::vector<ObjectRef> columns_;
   // Own-attribute count per structure (what the ratio denominator counts).
   std::vector<int> row_attribute_counts_;
   std::vector<int> column_attribute_counts_;
-  std::vector<ObjectRef> rows_;
-  std::vector<ObjectRef> columns_;
-  std::vector<int> counts_;
+  // Each row's and column's position in name order: the ranking tie-break.
+  std::vector<int> row_ranks_;
+  std::vector<int> column_ranks_;
+  std::vector<Cell> cells_;  // nonzero cells in (row, column) order
 };
 
 // The full phase-2 output for one structure kind: Screen 8's ranked list.

@@ -356,6 +356,7 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     std::vector<std::string> schemas) {
   PhaseTrace::Scope scope(trace_, "integrate");
   last_seed_cost_ = {};
+  last_plan_built_ = false;
   std::vector<std::string> names =
       schemas.empty() ? catalog_.SchemaNames() : std::move(schemas);
   int log_size = assertions_.num_user_assertions();
@@ -421,13 +422,10 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     }
   }
 
-  Result<core::IntegrationResult> result = InternalError("unreachable");
   if (incremental) {
     trace_.Count("integrate", "incremental_reuses");
     last_seed_cost_.ns = seed_watch.ElapsedNs();
     trace_.Charge("integrate.seed", last_seed_cost_.ns);
-    result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration, &timings);
   } else {
     trace_.Count("integrate", "full_rebuilds");
     last_seed_cost_.full_rebuild = true;
@@ -446,15 +444,16 @@ Result<const core::IntegrationResult*> Engine::Integrate(
     trace_.Count("integrate", "assertions_derived",
                  seeded.num_user_assertions() - log_size);
     seeded_ = std::move(seeded);
+    ++seeded_serial_;
     seeded_schemas_ = names;
     seeded_schema_generation_ = schema_generation_;
     seeded_assertion_epoch_ = assertion_epoch_;
     seeded_log_pos_ = log_size;
     last_seed_cost_.ns = seed_watch.ElapsedNs();
     trace_.Charge("integrate.seed", last_seed_cost_.ns);
-    result = core::IntegrateSeeded(catalog_, names, equivalence, *seeded_,
-                                   options_.integration, &timings);
   }
+  Result<core::IntegrationResult> result =
+      IntegrateOnPlan(names, equivalence, &timings);
   trace_.Charge("integrate.lattice", timings.lattice_ns);
   trace_.Charge("integrate.clusters", timings.clusters_ns);
   trace_.Charge("integrate.attributes", timings.attributes_ns);
@@ -480,6 +479,32 @@ Result<const core::IntegrationResult*> Engine::Integrate(
                                     integration_->relationship_clusters
                                         .size()));
   return integration_.get();
+}
+
+Result<core::IntegrationResult> Engine::IntegrateOnPlan(
+    const std::vector<std::string>& names,
+    const core::EquivalenceMap& equivalence, core::IntegrateTimings* timings) {
+  // The plan depends on the catalog, the schema list and the equivalence
+  // registry only, so an edit cycle (equiv, rank, assert, integrate) reuses
+  // it; a define, a form edit or a map rebuild pays for a new one.
+  if (plan_.has_value() && plan_schema_generation_ == schema_generation_ &&
+      plan_->schemas() == names && plan_->BuiltFor(equivalence)) {
+    trace_.Count("integrate", "plan_reuses");
+  } else {
+    common::Stopwatch watch(common::RealClock());
+    plan_.reset();
+    Result<core::IntegrationPlan> plan =
+        core::IntegrationPlan::Build(catalog_, names, equivalence);
+    if (!plan.ok()) return plan.status();
+    plan_ = *std::move(plan);
+    plan_schema_generation_ = schema_generation_;
+    last_plan_built_ = true;
+    trace_.Count("integrate", "plan_builds");
+    trace_.Charge("integrate.plan", watch.ElapsedNs());
+  }
+  plan_->SyncIds(*seeded_, seeded_serial_);
+  return core::IntegrateSeeded(*plan_, equivalence, *seeded_,
+                               options_.integration, timings);
 }
 
 Status Engine::FullRebuild() {
@@ -559,6 +584,8 @@ Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
   bool seeded_current = seeded_.has_value() &&
                         seeded_schema_generation_ == schema_generation_ &&
                         seeded_assertion_epoch_ == assertion_epoch_;
+  bool plan_current =
+      plan_.has_value() && plan_schema_generation_ == schema_generation_;
 
   schema_generation_ = stamp.schema_generation;
   equivalence_generation_ = stamp.equivalence_generation;
@@ -580,6 +607,11 @@ Status Engine::AdoptReplayStamp(const EngineStamp& stamp) {
     seeded_assertion_epoch_ = assertion_epoch_;
   } else {
     DropSeeded();
+  }
+  if (plan_current) {
+    plan_schema_generation_ = schema_generation_;
+  } else {
+    plan_.reset();
   }
   rank_cache_.clear();
   return Status::Ok();

@@ -210,6 +210,10 @@ class Engine {
     int64_t ns = -1;
   };
   const SeedCost& last_seed_cost() const { return last_seed_cost_; }
+  // Whether the last Integrate() built its integration plan (the catalog,
+  // the schema list or the equivalence registry changed since the plan it
+  // kept) instead of reusing it.
+  bool last_plan_built() const { return last_plan_built_; }
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
   void ClearDiagnostics() { diagnostics_.clear(); }
@@ -282,6 +286,11 @@ class Engine {
   // closure_retired_ so ClosureTotals() never shrinks.
   void ReplaceAssertions(core::AssertionStore store);
   void DropSeeded();
+  // Phase 4 over seeded_, on the cached plan when its key still holds.
+  Result<core::IntegrationResult> IntegrateOnPlan(
+      const std::vector<std::string>& names,
+      const core::EquivalenceMap& equivalence,
+      core::IntegrateTimings* timings);
 
   EngineOptions options_;
   ecr::Catalog catalog_;
@@ -318,7 +327,18 @@ class Engine {
   int64_t seeded_schema_generation_ = -1;
   int64_t seeded_assertion_epoch_ = -1;
   int seeded_log_pos_ = 0;
+  // Bumped whenever seeded_ becomes another store; the plan's store ids
+  // are synced per serial.
+  int64_t seeded_serial_ = 0;
   SeedCost last_seed_cost_;
+
+  // Cached integration plan (universes with store ids, name orders, the
+  // attribute-id -> table-entry resolution), valid while the schema
+  // generation matches, the schema list is the same and the equivalence
+  // map has the registry the plan holds.
+  std::optional<core::IntegrationPlan> plan_;
+  int64_t plan_schema_generation_ = -1;
+  bool last_plan_built_ = false;
 
   // Validity tag of integration_.
   std::vector<std::string> integrated_schemas_;

@@ -327,6 +327,7 @@ IntegrationService::IntegrationService(ServiceConfig config)
   integrate_render_ = metrics_.GetHistogram("integrate.render");
   integrate_seed_ = metrics_.GetHistogram("integrate.seed");
   integrate_full_rebuilds_ = metrics_.GetCounter("integrate.full_rebuilds");
+  integrate_plan_builds_ = metrics_.GetCounter("integrate.plan_builds");
   leader_addr_ = config_.leader_addr;
   // Scan the session table at most ~4x per idle timeout (capped at once a
   // second) instead of on every request.
@@ -858,7 +859,7 @@ int IntegrationService::CheckpointProjects() {
 
 // ---------------------------------------------------------------------------
 // The integrate body (a member: it times its reply rendering and records
-// what building its seeded closure cost).
+// what building its seeded closure and its plan cost).
 // ---------------------------------------------------------------------------
 
 ServiceResponse IntegrationService::IntegrateBody(
@@ -871,6 +872,7 @@ ServiceResponse IntegrationService::IntegrateBody(
   const engine::Engine::SeedCost& seed = engine.last_seed_cost();
   if (seed.full_rebuild) integrate_full_rebuilds_->Increment();
   if (seed.ns >= 0) integrate_seed_->Record(seed.ns / 1000);
+  if (engine.last_plan_built()) integrate_plan_builds_->Increment();
   if (!result.ok()) {
     return WriteFailure(engine, before, result.status());
   }

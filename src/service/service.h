@@ -391,6 +391,7 @@ class IntegrationService {
   Histogram* integrate_render_ = nullptr;  // rendering an integrate reply
   Histogram* integrate_seed_ = nullptr;    // building its seeded closure
   Counter* integrate_full_rebuilds_ = nullptr;  // integrates that re-seeded
+  Counter* integrate_plan_builds_ = nullptr;  // integrates that built a plan
 
   // Dynamic role state (see the failover plane). Guarded by role_mutex_;
   // the node leads iff leader_addr_ is empty AND it is not fenced. Fenced

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -101,6 +102,37 @@ TEST(ThreadPoolTest, PoolIsReusableAfterException) {
   std::atomic<int> calls{0};
   pool.ParallelFor(0, 8, 1, [&](int, int) { ++calls; });
   EXPECT_EQ(calls.load(), 8);
+}
+
+// A ParallelFor issued from inside a chunk, with every worker of the pool
+// blocked in one at the same time: only the waiting callers can run the
+// inner chunks, so they must. A regression hangs here, and the ctest
+// TIMEOUT on common_test turns the hang into a failure.
+TEST(ThreadPoolTest, NestedParallelForFinishesAtFullPoolWidth) {
+  for (int width : {2, 4}) {
+    ThreadPool pool(width);
+    for (int round = 0; round < 20; ++round) {
+      std::atomic<int> started{0};
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(width) * 4);
+      pool.ParallelFor(0, width, 1, [&](int outer, int) {
+        ++started;
+        // Hold each outer chunk until all have started, so every thread
+        // nests at once; bounded, so a slow wake-up alone cannot hang.
+        auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (started.load() < width &&
+               std::chrono::steady_clock::now() < until) {
+          std::this_thread::yield();
+        }
+        pool.ParallelFor(0, 4, 1, [&](int inner, int) {
+          ++hits[static_cast<size_t>(outer) * 4 + inner];
+        });
+      });
+      for (size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "width " << width << ", cell " << i;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, SharedPoolIsSingletonAndUsable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "ecr/builder.h"
 #include "ecr/validate.h"
@@ -89,6 +90,86 @@ IntegrationResult IntegrateUniversity() {
       Integrate(catalog, {"sc1", "sc2"}, equivalence, assertions);
   EXPECT_TRUE(result.ok()) << result.status();
   return *std::move(result);
+}
+
+// The integrated schema and every mapping target, as text.
+std::string Summary(const IntegrationResult& result) {
+  std::string out;
+  for (int i = 0; i < result.schema.num_objects(); ++i) {
+    out += result.schema.object(i).name + ";";
+  }
+  for (int i = 0; i < result.schema.num_relationships(); ++i) {
+    out += result.schema.relationship(i).name + ";";
+  }
+  for (const StructureMapping& mapping : result.mappings) {
+    out += mapping.source.ToString() + "->" + mapping.target + ";";
+  }
+  return out;
+}
+
+// A plan runs only on a map sharing its registry and on the store it was
+// last synced with; after the store registers structures, or forgets
+// some in a conflicting batch, SyncIds brings it to what a fresh plan
+// gives.
+TEST(IntegrationPlanTest, RunsOnItsMapAndSyncsWithItsStore) {
+  ecr::Catalog catalog = UniversityCatalog();
+  EquivalenceMap map = *EquivalenceMap::Create(catalog, {"sc1", "sc2"});
+  ASSERT_TRUE(map.DeclareEquivalent({"sc1", "Department", "Dname"},
+                                    {"sc2", "Department", "Dname"})
+                  .ok());
+  AssertionStore store;
+  ASSERT_TRUE(store
+                  .Assert({"sc1", "Department"}, {"sc2", "Department"},
+                          AssertionType::kEquals)
+                  .ok());
+  ASSERT_TRUE(SeedForIntegration(store, catalog, {"sc1", "sc2"}).ok());
+  Result<IntegrationPlan> plan =
+      IntegrationPlan::Build(catalog, {"sc1", "sc2"}, map);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  plan->SyncIds(store, 1);
+  Result<IntegrationResult> fresh =
+      IntegrateSeeded(catalog, {"sc1", "sc2"}, map, store);
+  ASSERT_TRUE(fresh.ok());
+  Result<IntegrationResult> planned = IntegrateSeeded(*plan, map, store);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(Summary(*planned), Summary(*fresh));
+
+  // A copy of the map shares the registry; a new map does not.
+  EquivalenceMap copy = map;
+  EXPECT_TRUE(IntegrateSeeded(*plan, copy, store).ok());
+  EquivalenceMap other = *EquivalenceMap::Create(catalog, {"sc1", "sc2"});
+  EXPECT_EQ(IntegrateSeeded(*plan, other, store).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The store registers two relationship sets: unsynced, the plan refuses.
+  ASSERT_TRUE(store
+                  .Assert({"sc1", "Majors"}, {"sc2", "Study"},
+                          AssertionType::kEquals)
+                  .ok());
+  EXPECT_EQ(IntegrateSeeded(*plan, map, store).status().code(),
+            StatusCode::kFailedPrecondition);
+  plan->SyncIds(store, 1);
+  fresh = IntegrateSeeded(catalog, {"sc1", "sc2"}, map, store);
+  planned = IntegrateSeeded(*plan, map, store);
+  ASSERT_TRUE(fresh.ok() && planned.ok());
+  EXPECT_EQ(Summary(*planned), Summary(*fresh));
+  EXPECT_NE(Summary(*planned).find("sc1.Majors->E_"), std::string::npos)
+      << Summary(*planned);
+
+  // A batch that conflicts at its first entry forgets the structures its
+  // later entries registered.
+  int64_t forgets = store.object_forgets();
+  Result<ConflictReport> conflict = store.AssertBatch(
+      {{{"sc1", "Department"},
+        {"sc2", "Department"},
+        AssertionType::kDisjointNonintegrable},
+       {{"sc1", "X"}, {"sc2", "Y"}, AssertionType::kEquals}});
+  EXPECT_FALSE(conflict.ok());
+  EXPECT_GT(store.object_forgets(), forgets);
+  plan->SyncIds(store, 1);
+  planned = IntegrateSeeded(*plan, map, store);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(Summary(*planned), Summary(*fresh));
 }
 
 TEST(IntegratorTest, Figure5ObjectLattice) {

@@ -305,6 +305,54 @@ TEST(EngineIncrementalTest, LastSeedCostTellsRebuildsFromExtensions) {
   EXPECT_EQ(engine.last_seed_cost().ns, -1);
 }
 
+// The integration plan depends on the catalog, the schema list and the
+// equivalence registry only: the first integrate builds it, an edit cycle
+// (declare, rank, assert, integrate) reuses it, a new relationship-set
+// assertion only extends its store ids, and a define, a map rebuild or
+// another schema list builds a new one.
+TEST(EngineIncrementalTest, PlanIsBuiltPerCatalogAndReusedByEdits) {
+  Engine engine = UniversityEngine();
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_TRUE(engine.last_plan_built());
+  EXPECT_EQ(Counter(engine, "integrate", "plan_builds"), 1);
+
+  ASSERT_TRUE(engine
+                  .AssertEquivalence({"sc1", "Student", "Name"},
+                                     {"sc2", "Faculty", "Name"})
+                  .ok());
+  ASSERT_TRUE(engine
+                  .RankedPairs("sc1", "sc2", core::StructureKind::kObjectClass)
+                  .ok());
+  ASSERT_TRUE(engine
+                  .AssertRelation({"sc1", "Majors"}, {"sc2", "Study"},
+                                  AssertionType::kEquals)
+                  .ok());
+  ASSERT_TRUE(engine.Integrate({"sc1", "sc2"}).ok());
+  EXPECT_FALSE(engine.last_plan_built());
+  EXPECT_EQ(Counter(engine, "integrate", "plan_builds"), 1);
+  EXPECT_EQ(Counter(engine, "integrate", "plan_reuses"), 1);
+  // The relationship sets joined through the store ids the plan extended.
+  const core::IntegrationResult& result = *engine.integration();
+  Result<const core::StructureMapping*> majors =
+      result.MappingFor({"sc1", "Majors"});
+  Result<const core::StructureMapping*> study =
+      result.MappingFor({"sc2", "Study"});
+  ASSERT_TRUE(majors.ok() && study.ok());
+  EXPECT_EQ((*majors)->target, (*study)->target);
+
+  ASSERT_TRUE(engine.Integrate({"sc2", "sc1"}).ok());
+  EXPECT_TRUE(engine.last_plan_built());
+  ASSERT_TRUE(engine.RebuildEquivalence().ok());
+  ASSERT_TRUE(engine.Integrate({"sc2", "sc1"}).ok());
+  EXPECT_TRUE(engine.last_plan_built());
+  ASSERT_TRUE(engine.DefineSchema("schema sc3 { entity X { Ix: int key; } }")
+                  .ok());
+  ASSERT_TRUE(engine.Integrate({"sc2", "sc1"}).ok());
+  EXPECT_TRUE(engine.last_plan_built());
+  EXPECT_EQ(Counter(engine, "integrate", "plan_builds"), 4);
+  EXPECT_EQ(Counter(engine, "integrate", "plan_reuses"), 1);
+}
+
 TEST(EngineIncrementalTest, RetractDropsTheAssertionAndItsConsequences) {
   Engine engine = UniversityEngine();
   size_t before = engine.assertions().user_assertions().size();

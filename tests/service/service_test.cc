@@ -245,6 +245,29 @@ TEST_F(ServiceTest, IntegrateMetricsSeparateFullRebuildsFromExtensions) {
   EXPECT_GE(pops->value() - pops_before, 10);
 }
 
+// integrate.plan_builds counts the integrates that paid for a new plan:
+// the first, and the first after a define; an integrate after an equiv
+// reuses the plan.
+TEST_F(ServiceTest, IntegrateMetricsCountPlanBuilds) {
+  ASSERT_TRUE(service_->Execute(session_, Define(kUniversityDdl)).ok());
+  Counter* builds = service_->metrics().GetCounter("integrate.plan_builds");
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(builds->value(), 1);
+  ASSERT_TRUE(service_
+                  ->Execute(session_, Equiv({"sc1", "Student", "Name"},
+                                            {"sc2", "Grad", "Name"}))
+                  .ok());
+  ASSERT_TRUE(service_->Execute(session_, AssertCommand(/*type_code=*/1)).ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(builds->value(), 1);
+  ASSERT_TRUE(service_
+                  ->Execute(session_,
+                            Define("schema sc4 { entity A { Ia: int key; } }"))
+                  .ok());
+  ASSERT_TRUE(service_->Execute(session_, Bare(Op::kIntegrate)).ok());
+  EXPECT_EQ(builds->value(), 2);
+}
+
 // --- router / line protocol ----------------------------------------------
 
 class RouterTest : public ServiceTest {
